@@ -172,14 +172,15 @@ def top_k_indices(scores: np.ndarray, nodes, k: int) -> np.ndarray:
 
 def ipl(f_m, f_c, f_t, graph: InfluenceGraph,
         config: IPLConfig | None = None) -> IPLResult:
-    """Learn the fusion weights by alternating walks and gradient steps.
+    """Learn the fusion weights by alternating walk scoring and gradient steps.
 
     Inputs are the component similarity vectors, each normalized to sum 1.
-    Each iteration fuses them with the current weights, runs the walk from
-    the fused distribution, and takes a projected gradient step on the
-    squared top-k error between fused and walk scores. The gradient uses
-    the walk's linearity in the teleport vector, so the three component
-    walks are computed once.
+    Each iteration fuses them with the current weights, scores the walk
+    from the fused distribution, and takes a projected gradient step on
+    the squared top-k error between fused and walk scores. The walk is
+    linear in its teleport vector, so walk(C @ omega) == W @ omega for the
+    three component walks W: they are the only walks run, and both the
+    scores and the gradient come from them.
     """
     config = config or IPLConfig()
     components = np.column_stack([
@@ -193,6 +194,7 @@ def ipl(f_m, f_c, f_t, graph: InfluenceGraph,
     walks = np.column_stack(component_walks(
         graph, components[:, 0], components[:, 1], components[:, 2], config.tau))
 
+    nodes = np.asarray(graph.nodes)
     omega = np.full(3, 1.0 / 3.0)
     history: list[IPLStep] = []
     converged = False
@@ -200,9 +202,8 @@ def ipl(f_m, f_c, f_t, graph: InfluenceGraph,
     scores = walks @ omega
     for _ in range(config.max_iterations):
         fused = components @ omega
-        fused = fused / fused.sum()  # no-op guard for simplex weights
-        scores, _ = random_walk(graph, fused, config.tau)
-        top = top_k_indices(scores, graph.nodes, config.k)
+        scores = walks @ omega
+        top = top_k_indices(scores, nodes, config.k)
         residual = fused[top] - scores[top]
         loss = 0.5 * float(residual @ residual)
         history.append(IPLStep(loss, tuple(int(i) for i in top), tuple(omega)))
@@ -212,7 +213,7 @@ def ipl(f_m, f_c, f_t, graph: InfluenceGraph,
         gradient = residual @ (components[top] - walks[top])
         omega = project_simplex(omega - config.mu * gradient)
 
-    top = top_k_indices(scores, graph.nodes, config.k)
+    top = top_k_indices(scores, nodes, config.k)
     ranking = [(graph.nodes[i], float(scores[i])) for i in top]
     return IPLResult(tuple(float(x) for x in omega), ranking, scores, fused,
                      history, converged)

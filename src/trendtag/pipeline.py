@@ -193,7 +193,9 @@ def run_annotate(corpus: TweetCorpus, snapshot: WikiSnapshot,
                  config: PipelineConfig | None = None,
                  hashtags: list[str] | None = None) -> Iterator[RankedAnnotation]:
     """Annotate an explicit hashtag list (trending filter bypassed) or every
-    trending hashtag. Per-hashtag failures are logged and skipped."""
+    trending hashtag. A hashtag whose annotation raises is logged and comes
+    back as an empty record with reason "error:<ExceptionType>", so every
+    target yields exactly one record, in order."""
     config = config or PipelineConfig()
     if hashtags is None:
         targets = [(b.hashtag, False) for b in trending_hashtags(corpus, config)]
@@ -202,8 +204,10 @@ def run_annotate(corpus: TweetCorpus, snapshot: WikiSnapshot,
     for tag, force in targets:
         try:
             yield annotate_hashtag(corpus, snapshot, tag, config, force=force)
-        except Exception:
+        except Exception as exc:
             log.exception("annotation failed for #%s; continuing", tag)
+            yield RankedAnnotation(tag, None, None, None, [],
+                                   reason=f"error:{type(exc).__name__}")
 
 
 def write_annotations(annotations: Iterable[RankedAnnotation], path) -> None:

@@ -105,14 +105,16 @@ def build_snapshot(pages: Iterable[tuple[str, str]],
                    anchors: Iterable[tuple[str, str, int]],
                    links: Iterable[tuple[str, str]],
                    revisions: Iterable[dict],
-                   pageviews: Iterable[tuple[str, date, int]]) -> WikiSnapshot:
+                   pageviews: Iterable[tuple[str, date, int]],
+                   report: BuildReport | None = None) -> WikiSnapshot:
     """Assemble all stores; redirects are resolved everywhere.
 
     Disambiguation and list pages are excluded from the entity space, but
     disambiguation titles contribute lexicon entries pointing to the
-    entities their pages link to.
+    entities their pages link to. Drops are added to `report` (a fresh one
+    when None), so a caller can pass in the rows it skipped while parsing.
     """
-    report = BuildReport()
+    report = report if report is not None else BuildReport()
     kinds: dict[str, str] = {}
     redirects: dict[str, str] = {}
     for title, flags in pages:
@@ -228,7 +230,9 @@ def build_snapshot(pages: Iterable[tuple[str, str]],
         revs, latest_text, views, dict(anchor_totals), report)
 
 
-def _read_tsv(path, ncols):
+def _read_tsv(path, ncols, report: BuildReport, field: str):
+    """Yield the lines of path that have exactly ncols tab-separated fields;
+    every other non-empty line is logged and counted in report.<field>."""
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.rstrip("\n")
@@ -237,21 +241,30 @@ def _read_tsv(path, ncols):
             parts = line.split("\t")
             if len(parts) != ncols:
                 log.warning("skipping malformed line in %s: %r", path, line)
+                setattr(report, field, getattr(report, field) + 1)
                 continue
             yield parts
 
 
 def load_snapshot(wiki_dir) -> WikiSnapshot:
-    """Read pages.tsv, anchors.tsv, links.tsv, revisions.jsonl, pageviews.tsv."""
+    """Read pages.tsv, anchors.tsv, links.tsv, revisions.jsonl, pageviews.tsv.
+
+    Rows skipped while parsing (wrong column count, unparsable count or
+    day) are counted in the report's dropped_* field of their file.
+    """
     d = Path(wiki_dir)
-    pages = [(t, f) for t, f in _read_tsv(d / "pages.tsv", 2)]
+    report = BuildReport()
+    pages = [(t, f) for t, f in _read_tsv(d / "pages.tsv", 2, report,
+                                          "dropped_pages")]
     anchors = []
-    for a, t, n in _read_tsv(d / "anchors.tsv", 3):
+    for a, t, n in _read_tsv(d / "anchors.tsv", 3, report, "dropped_anchors"):
         try:
             anchors.append((a, t, int(n)))
         except ValueError:
             log.warning("bad anchor count: %r", n)
-    links = [(s, t) for s, t in _read_tsv(d / "links.tsv", 2)]
+            report.dropped_anchors += 1
+    links = [(s, t) for s, t in _read_tsv(d / "links.tsv", 2, report,
+                                          "dropped_links")]
     revisions = []
     with open(d / "revisions.jsonl", encoding="utf-8") as fh:
         for line in fh:
@@ -262,12 +275,14 @@ def load_snapshot(wiki_dir) -> WikiSnapshot:
                 except json.JSONDecodeError:
                     revisions.append({})
     pageviews = []
-    for t, day, n in _read_tsv(d / "pageviews.tsv", 3):
+    for t, day, n in _read_tsv(d / "pageviews.tsv", 3, report,
+                               "dropped_pageviews"):
         try:
             pageviews.append((t, date.fromisoformat(day), int(n)))
         except ValueError:
             log.warning("bad pageview row: %r %r", day, n)
-    return build_snapshot(pages, anchors, links, revisions, pageviews)
+            report.dropped_pageviews += 1
+    return build_snapshot(pages, anchors, links, revisions, pageviews, report)
 
 
 def link_prior(snapshot: WikiSnapshot, mention: str,

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+import trendtag.influence as influence
 from trendtag.influence import (InfluenceGraph, IPLConfig, build_influence_graph,
                                 component_walks, ipl, milne_witten,
                                 project_simplex, random_walk, top_k_indices)
@@ -368,3 +369,39 @@ class TestIPL:
     def test_topk_ties_broken_by_entity_id(self):
         scores = np.array([0.25, 0.25, 0.5])
         assert list(top_k_indices(scores, ("b", "a", "c"), 3)) == [2, 1, 0]
+
+    @pytest.mark.parametrize("max_iterations", [0, 1, 7, 300])
+    def test_only_the_three_component_walks_run(self, monkeypatch,
+                                                max_iterations):
+        calls = []
+
+        def spy(graph, s, *args, **kwargs):
+            calls.append(np.array(s))
+            return random_walk(graph, s, *args, **kwargs)
+
+        monkeypatch.setattr(influence, "random_walk", spy)
+        graph, fm, fc, ft = funnel_graph_and_components()
+        result = influence.ipl(fm, fc, ft, graph,
+                               IPLConfig(k=3, epsilon=1e-12,
+                                         max_iterations=max_iterations))
+        assert result.iterations == max_iterations
+        assert len(calls) == 3
+        for teleport, component in zip(calls, (fm, fc, ft)):
+            assert np.array_equal(teleport, component)
+
+    def test_scores_equal_walk_from_fused(self):
+        cases = [(funnel_graph_and_components(), 3)]
+        rng = random.Random(47)
+        for _ in range(20):
+            n = rng.randint(2, 30)
+            graph = random_graph(rng, n)
+            comps = [random_distribution(rng, n) for _ in range(3)]
+            cases.append(((graph, *comps), rng.randint(1, n)))
+        for (graph, fm, fc, ft), k in cases:
+            result = ipl(fm, fc, ft, graph, IPLConfig(k=k, mu=0.05))
+            assert result.iterations > 0
+            walked, converged = random_walk(graph, result.fused)
+            assert converged
+            np.testing.assert_allclose(result.scores, walked, rtol=0, atol=1e-9)
+            top = top_k_indices(walked, graph.nodes, k)
+            assert [e for e, _ in result.ranking] == [graph.nodes[i] for i in top]

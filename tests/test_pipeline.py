@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import trendtag.pipeline as pipeline
 from trendtag.pipeline import (PipelineConfig, RankedAnnotation, RankedEntity,
                                annotate_hashtag, average_precision, evaluate,
                                precision_at, run_annotate, trending_hashtags,
@@ -127,6 +128,28 @@ class TestAnnotateHashtag:
         anns = list(run_annotate(world_corpus, world_snapshot, world_config(),
                                  hashtags=["doesnotexist"]))
         assert anns[0].reason == "not-trending"
+
+    def test_failed_hashtag_yields_error_record(self, tmp_path, monkeypatch):
+        def flaky(corpus, snapshot, tag, config=None, force=False):
+            if tag == "boom":
+                raise KeyError(tag)
+            return RankedAnnotation(tag, None, None, None, [],
+                                    reason="not-trending")
+
+        monkeypatch.setattr(pipeline, "annotate_hashtag", flaky)
+        anns = list(run_annotate(None, None, PipelineConfig(),
+                                 hashtags=["#boom", "#calm"]))
+        assert [(a.hashtag, a.reason) for a in anns] == [
+            ("boom", "error:KeyError"), ("calm", "not-trending")]
+        assert anns[0].entities == [] and anns[0].weights is None
+        path = tmp_path / "annotations.jsonl"
+        write_annotations(anns, path)
+        lines = path.read_text().splitlines()
+        assert json.loads(lines[0]) == {"hashtag": "boom", "window": None,
+                                        "weights": None, "entities": [],
+                                        "reason": "error:KeyError"}
+        assert [a.reason for a in read_annotations(path)] == [
+            "error:KeyError", "not-trending"]
 
     def test_trending_detection_finds_fixture_hashtag(self, world_corpus):
         bursts = trending_hashtags(world_corpus, world_config())

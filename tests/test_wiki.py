@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendtag.wiki import (added_tokens, build_snapshot, link_prior,
-                           temporal_context, view_series)
+                           load_snapshot, temporal_context, view_series)
 
 
 def snapshot(pages=(), anchors=(), links=(), revisions=(), pageviews=()):
@@ -197,3 +197,39 @@ class TestViewSeries:
             series = view_series(small, "Sochi", date(2014, 2, 1),
                                  date(2014, 2, days))
             assert len(series) == days
+
+
+class TestLoadSnapshot:
+    def test_skipped_rows_counted_by_file(self, tmp_path):
+        (tmp_path / "pages.tsv").write_text(
+            "A\tARTICLE\nB\tARTICLE\nC\tARTICLE\textra\n")
+        (tmp_path / "anchors.tsv").write_text(
+            "a\tA\t2\nb\tB\tmany\nbad anchor row\n")
+        (tmp_path / "links.tsv").write_text("A\tB\nA\tB\tC\n")
+        (tmp_path / "revisions.jsonl").write_text(
+            '{"title": "A", "timestamp": "2014-02-01T00:00:00Z", "text": "x"}\n')
+        (tmp_path / "pageviews.tsv").write_text(
+            "A\t2014-02-01\t3\n"
+            "A\tnot-a-day\t3\n"
+            "A\t2014-02-02\tmany\n"
+            "A\t2014-02-03\n")
+        snap = load_snapshot(tmp_path)
+        r = snap.report
+        assert r.dropped_pages == 1      # wrong column count
+        assert r.dropped_anchors == 2    # bad count + wrong column count
+        assert r.dropped_links == 1      # wrong column count
+        assert r.dropped_revisions == 0
+        assert r.dropped_pageviews == 3  # bad day + bad count + wrong columns
+        assert snap.entities == frozenset({"A", "B"})
+        assert snap.lexicon["a"] == (("A", 3),)  # title (1) + anchor (2)
+        assert snap.incoming("B") == frozenset({"A"})
+        assert snap.pageviews["A"] == {date(2014, 2, 1): 3}
+
+    def test_parse_drops_add_to_build_drops(self, tmp_path):
+        (tmp_path / "pages.tsv").write_text("A\tARTICLE\n")
+        (tmp_path / "anchors.tsv").write_text("a\tMissing\t1\na\tA\tx\n")
+        (tmp_path / "links.tsv").write_text("")
+        (tmp_path / "revisions.jsonl").write_text("")
+        (tmp_path / "pageviews.tsv").write_text("")
+        # one anchor to an unknown entity (build) + one bad count (parse)
+        assert load_snapshot(tmp_path).report.dropped_anchors == 2
