@@ -24,18 +24,27 @@ def extract_hashtags(text: str) -> list[str]:
     return [m.group(1).lower() for m in _HASHTAG_RE.finditer(text)]
 
 
-def timestamp_to_day(ts) -> date:
-    """Epoch seconds or ISO-8601 instant -> UTC calendar day."""
+def parse_timestamp(ts) -> datetime:
+    """Epoch seconds or ISO-8601 instant -> aware UTC datetime.
+
+    An ISO string without an offset is read as UTC. Bools and other types
+    raise ValueError; an out-of-range epoch raises OverflowError or OSError.
+    """
     if isinstance(ts, bool):
         raise ValueError(f"bad timestamp: {ts!r}")
     if isinstance(ts, (int, float)):
-        return datetime.fromtimestamp(ts, tz=timezone.utc).date()
+        return datetime.fromtimestamp(ts, tz=timezone.utc)
     if isinstance(ts, str):
         dt = datetime.fromisoformat(ts.replace("Z", "+00:00"))
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
-        return dt.astimezone(timezone.utc).date()
+        return dt.astimezone(timezone.utc)
     raise ValueError(f"bad timestamp: {ts!r}")
+
+
+def timestamp_to_day(ts) -> date:
+    """Epoch seconds or ISO-8601 instant -> UTC calendar day."""
+    return parse_timestamp(ts).date()
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,8 @@ class IPLResult:
 
 
 def top_k_indices(scores: np.ndarray, nodes, k: int) -> np.ndarray:
-    """Indices of the k highest scores, ties broken by entity id."""
+    """Indices of the k highest scores, ties broken by entity id (or by any
+    key that sorts like it, such as the ids' integer ranks)."""
     order = np.lexsort((np.asarray(nodes), -scores))
     return order[:k]
 
@@ -180,7 +181,8 @@ def ipl(f_m, f_c, f_t, graph: InfluenceGraph,
     the squared top-k error between fused and walk scores. The walk is
     linear in its teleport vector, so walk(C @ omega) == W @ omega for the
     three component walks W: they are the only walks run, and both the
-    scores and the gradient come from them.
+    scores and the gradient come from them. The returned weights are the
+    last ones scored, so they produce the returned fused and walk scores.
     """
     config = config or IPLConfig()
     components = np.column_stack([
@@ -194,26 +196,30 @@ def ipl(f_m, f_c, f_t, graph: InfluenceGraph,
     walks = np.column_stack(component_walks(
         graph, components[:, 0], components[:, 1], components[:, 2], config.tau))
 
-    nodes = np.asarray(graph.nodes)
+    # integer ranks of the entity ids: the same tie order, cheaper to sort
+    rank = np.empty(graph.size, dtype=np.int64)
+    rank[np.argsort(np.asarray(graph.nodes), kind="stable")] = np.arange(graph.size)
+
+    def score(omega):
+        scores = walks @ omega
+        return components @ omega, scores, top_k_indices(scores, rank, config.k)
+
     omega = np.full(3, 1.0 / 3.0)
+    fused, scores, top = score(omega)
     history: list[IPLStep] = []
     converged = False
-    fused = components @ omega
-    scores = walks @ omega
-    for _ in range(config.max_iterations):
-        fused = components @ omega
-        scores = walks @ omega
-        top = top_k_indices(scores, nodes, config.k)
+    for step in range(1, config.max_iterations + 1):
         residual = fused[top] - scores[top]
         loss = 0.5 * float(residual @ residual)
-        history.append(IPLStep(loss, tuple(int(i) for i in top), tuple(omega)))
+        history.append(IPLStep(loss, tuple(top.tolist()), tuple(omega)))
         if loss < config.epsilon:
             converged = True
             break
-        gradient = residual @ (components[top] - walks[top])
-        omega = project_simplex(omega - config.mu * gradient)
+        if step < config.max_iterations:
+            gradient = residual @ (components[top] - walks[top])
+            omega = project_simplex(omega - config.mu * gradient)
+            fused, scores, top = score(omega)
 
-    top = top_k_indices(scores, nodes, config.k)
-    ranking = [(graph.nodes[i], float(scores[i])) for i in top]
+    ranking = [(graph.nodes[i], float(scores[i])) for i in top.tolist()]
     return IPLResult(tuple(float(x) for x in omega), ranking, scores, fused,
                      history, converged)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .corpus import HashtagBurst, TweetCorpus
 from .influence import milne_witten
-from .wiki import WikiSnapshot, link_prior
+from .wiki import WikiSnapshot, first_word_lengths, link_prior
 
 MAX_NGRAM = 5
 
@@ -73,18 +73,32 @@ def tweet_phrases(text: str, vocab=frozenset(),
     return phrases
 
 
-def longest_match(tokens: list[str], lexicon,
-                  max_n: int = MAX_NGRAM) -> list[tuple[str, int]]:
+def longest_match(tokens: list[str], lexicon, max_n: int = MAX_NGRAM,
+                  first_words: dict[str, int] | None = None
+                  ) -> list[tuple[str, int]]:
     """Longest-match scan: at each position try n-grams from max_n down to 1.
 
     The first n-gram present in the lexicon is taken and the scan resumes
     after it; a matched span is not re-matched at smaller n. Returns
     (mention, start index) pairs in scan order.
+
+    first_words (see wiki.first_word_lengths) caps n at the most words of
+    a key starting with the token, so a token that starts no key is passed
+    over at once. The cap drops only n-grams that cannot match, as long as
+    no token contains a space. When None it is built from the lexicon, a
+    pass over all keys: callers scanning many tweets pass it in.
     """
+    if first_words is None:
+        first_words = first_word_lengths(lexicon)
     matches: list[tuple[str, int]] = []
+    end = len(tokens)
     i = 0
-    while i < len(tokens):
-        for n in range(min(max_n, len(tokens) - i), 0, -1):
+    while i < end:
+        longest = first_words.get(tokens[i])
+        if longest is None:
+            i += 1
+            continue
+        for n in range(min(max_n, longest, end - i), 0, -1):
             gram = " ".join(tokens[i:i + n])
             if gram in lexicon:
                 matches.append((gram, i))
@@ -144,15 +158,20 @@ def build_candidates(burst: HashtagBurst, corpus: TweetCorpus,
     result.sampled_tweet_ids = tuple(ids)
 
     vocab = snapshot.unigram_vocab
+    first_words = snapshot.first_word_lengths
+    mentions: Counter = Counter()
     for tid in ids:
         tokens = tweet_tokens(corpus.get(tid).text, vocab)
         result.sample_token_counts.update(tokens)
-        for mention, _ in longest_match(tokens, snapshot.lexicon):
-            for entity, prior in link_prior(snapshot, mention).items():
-                if prior <= 0:
-                    continue
+        mentions.update(m for m, _ in longest_match(tokens, snapshot.lexicon,
+                                                     first_words=first_words))
+    # Distinct mentions in first-seen order: entities and each entity's
+    # mentions are inserted in the order a per-occurrence scan would use.
+    for mention, count in mentions.items():
+        for entity, prior in link_prior(snapshot, mention).items():
+            if prior > 0:
                 result.provenance[entity] = "seed"
-                result.mention_counts.setdefault(entity, Counter())[mention] += 1
+                result.mention_counts.setdefault(entity, Counter())[mention] = count
 
     for entity in sorted(e for e, p in result.provenance.items() if p == "seed"):
         neighbors = sorted(snapshot.neighbors(entity) - {entity})

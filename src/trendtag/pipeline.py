@@ -118,19 +118,16 @@ def similarity_components(burst: HashtagBurst, candidates: CandidateSet,
     ts_h = hashtag_series(corpus, burst.hashtag, burst.window_start,
                           burst.window_end)
     f_c: dict[str, float] = {}
-    f_t: dict[str, float] = {}
+    views = []
     for e in entities:
         ctx = temporal_context(snapshot, e, burst.window_start, burst.window_end)
         background = snapshot.latest_text.get(e, "")
         f_c[e] = context_similarity(ctx, Counter(tokenize(background)),
                                     candidates.sample_token_counts, config.lam)
-        ts_e = view_series(snapshot, e, burst.window_start, burst.window_end)
-        if ts_h.values.sum() > 0:
-            f_t[e] = temporal_similarity(ts_h.values, ts_e.values,
-                                         config.shift_range)
-        else:
-            f_t[e] = 0.0
-    return f_m, f_c, f_t
+        views.append(view_series(snapshot, e, burst.window_start,
+                                 burst.window_end).values)
+    f_t = temporal_similarity(ts_h.values, np.array(views), config.shift_range)
+    return f_m, f_c, dict(zip(entities, f_t.tolist()))
 
 
 def annotate_hashtag(corpus: TweetCorpus, snapshot: WikiSnapshot, hashtag: str,

@@ -35,11 +35,15 @@ def mention_similarity(candidates: CandidateSet, snapshot: WikiSnapshot,
 
     Expansion-only entities have no mentions and score 0.
     """
+    priors: dict[str, dict[str, float]] = {}
     scores: dict[str, float] = {}
     for entity in candidates.entities:
         total = 0.0
         for mention, q in candidates.mention_frequencies(entity).items():
-            prior = link_prior(snapshot, mention, over_entity_anchors)
+            prior = priors.get(mention)
+            if prior is None:
+                prior = priors[mention] = link_prior(snapshot, mention,
+                                                     over_entity_anchors)
             total += prior.get(entity, 0.0) * q
         scores[entity] = total
     return scores
@@ -97,38 +101,56 @@ class ShiftScaleMatch:
     distance: float
 
 
-def shifted(series: np.ndarray, q: int) -> np.ndarray:
-    """Series delayed by q positions; out-of-range positions are zero."""
+def shifted(series, q: int) -> np.ndarray:
+    """Series delayed by q positions along the last axis; out-of-range
+    positions are zero. A 2-d input shifts each row."""
+    series = np.asarray(series)
     out = np.zeros_like(series, dtype=float)
-    n = len(series)
+    n = series.shape[-1]
     if abs(q) >= n:
         return out
     if q >= 0:
-        out[q:] = series[:n - q]
+        out[..., q:] = series[..., :n - q]
     else:
-        out[:n + q] = series[-q:]
+        out[..., :n + q] = series[..., -q:]
     return out
+
+
+def _fit_rows(h: np.ndarray, rows: np.ndarray, q: int):
+    """Least-squares scale and relative distance of each row, shifted by q,
+    against h (which must have non-zero norm)."""
+    e = shifted(rows, q)
+    denom = np.einsum("ij,ij->i", e, e)
+    num = e @ h
+    delta = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
+    distance = np.linalg.norm(h - delta[:, None] * e, axis=1) / np.linalg.norm(h)
+    return delta, distance
 
 
 def best_shift_scale(ts_h, ts_e, q: int) -> ShiftScaleMatch:
     """Least-squares scale for a fixed shift: argmin over delta of
     ||ts_h - delta * shifted(ts_e, q)|| / ||ts_h||."""
     h = np.asarray(ts_h, dtype=float)
-    e = shifted(np.asarray(ts_e, dtype=float), q)
-    norm_h = np.linalg.norm(h)
-    if norm_h == 0:
-        raise ValueError("hashtag series has zero norm")
-    denom = float(e @ e)
-    delta = float(h @ e) / denom if denom > 0 else 0.0
-    distance = float(np.linalg.norm(h - delta * e)) / norm_h
-    return ShiftScaleMatch(q, delta, distance)
-
-
-def temporal_similarity(ts_h, ts_e, shift_range: int = 3) -> float:
-    """f_t = exp(-min over shifts of the shift/scale distance); 0 for a flat hashtag."""
-    h = np.asarray(ts_h, dtype=float)
     if np.linalg.norm(h) == 0:
-        return 0.0
-    dist = min(best_shift_scale(h, ts_e, q).distance
-               for q in range(-shift_range, shift_range + 1))
-    return math.exp(-dist)
+        raise ValueError("hashtag series has zero norm")
+    delta, distance = _fit_rows(h, np.asarray(ts_e, dtype=float)[None, :], q)
+    return ShiftScaleMatch(q, float(delta[0]), float(distance[0]))
+
+
+def temporal_similarity(ts_h, ts_e, shift_range: int = 3):
+    """f_t = exp(-min over shifts of the shift/scale distance); 0 for a flat hashtag.
+
+    ts_e is one entity series (returns a float) or an m x w stack of them,
+    one per row (returns the m scores as an array, all in one pass).
+    """
+    h = np.asarray(ts_h, dtype=float)
+    rows = np.asarray(ts_e, dtype=float)
+    single = rows.ndim == 1
+    rows = np.atleast_2d(rows)
+    if np.linalg.norm(h) == 0:
+        f = np.zeros(len(rows))
+    else:
+        dist = np.min([_fit_rows(h, rows, q)[1]
+                       for q in range(-shift_range, shift_range + 1)], axis=0)
+        f = np.exp(-dist)
+    return float(f[0]) if single else f

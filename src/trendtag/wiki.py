@@ -12,13 +12,13 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timedelta
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .corpus import TimeSeries
+from .corpus import TimeSeries, parse_timestamp
 from .textutil import normalize_surface, tokenize
 
 log = logging.getLogger(__name__)
@@ -39,6 +39,9 @@ class BuildReport:
 
 class WikiSnapshot:
     """Immutable bundle of the lexicon, link graph, revisions, and page views."""
+
+    # a class default, so a snapshot pickled before this index existed loads
+    _first_word_lengths: dict[str, int] | None = None
 
     def __init__(self, entities, lexicon, out_links, in_links,
                  revisions, latest_text, pageviews, entity_anchor_totals,
@@ -76,6 +79,25 @@ class WikiSnapshot:
             self._unigram_vocab = frozenset(
                 w for key in self.lexicon for w in key.split())
         return self._unigram_vocab
+
+    @property
+    def first_word_lengths(self) -> dict[str, int]:
+        """First word of each lexicon key -> most words of a key starting
+        with it; bounds the n-grams the longest-match scan tries."""
+        if self._first_word_lengths is None:
+            self._first_word_lengths = first_word_lengths(self.lexicon)
+        return self._first_word_lengths
+
+
+def first_word_lengths(keys) -> dict[str, int]:
+    """Map the first word of each key to the most words of any key
+    starting with it (words are separated by single spaces)."""
+    lengths: dict[str, int] = {}
+    for key in keys:
+        words = key.split(" ")
+        if len(words) > lengths.get(words[0], 0):
+            lengths[words[0]] = len(words)
+    return lengths
 
 
 def _resolve_all(kinds: dict[str, str], redirects: dict[str, str]):
@@ -186,15 +208,9 @@ def build_snapshot(pages: Iterable[tuple[str, str]],
     for rec in revisions:
         try:
             e = as_article(rec["title"])
-            ts = rec["timestamp"]
-            if isinstance(ts, (int, float)):
-                dt = datetime.fromtimestamp(ts, tz=timezone.utc)
-            else:
-                dt = datetime.fromisoformat(str(ts).replace("Z", "+00:00"))
-                if dt.tzinfo is None:
-                    dt = dt.replace(tzinfo=timezone.utc)
+            dt = parse_timestamp(rec["timestamp"])
             text = rec["text"]
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError, OSError):
             report.dropped_revisions += 1
             continue
         if e is None or not isinstance(text, str):

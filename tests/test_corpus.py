@@ -1,6 +1,6 @@
 """Corpus loading, hashtag time series, and burst detection."""
 
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from trendtag.corpus import (BurstConfig, TimeSeries, detect_bursts,
                              extract_hashtags, hashtag_series, load_tweets,
                              outlier_fraction, outlier_series,
-                             timestamp_to_day)
+                             parse_timestamp, timestamp_to_day)
 
 DAY0 = date(2014, 2, 1)
 
@@ -74,6 +74,29 @@ class TestLoadTweets:
     def test_day_bucketing_is_utc(self):
         # 23:30 UTC-5 is the next day in UTC
         assert timestamp_to_day("2014-02-09T23:30:00-05:00") == date(2014, 2, 10)
+
+
+class TestParseTimestamp:
+    def test_returns_aware_utc_datetime(self):
+        dt = parse_timestamp("2014-02-09T23:30:00-05:00")
+        assert dt == datetime(2014, 2, 10, 4, 30, tzinfo=timezone.utc)
+        assert dt.utcoffset() == timedelta(0)
+
+    def test_epoch_naive_and_zulu_forms_agree(self):
+        expected = datetime(2014, 2, 9, 12, tzinfo=timezone.utc)
+        assert parse_timestamp(1391947200) == expected
+        assert parse_timestamp(1391947200.0) == expected
+        assert parse_timestamp("2014-02-09T12:00:00Z") == expected
+        assert parse_timestamp("2014-02-09T12:00:00") == expected
+
+    @pytest.mark.parametrize("bad", [True, False, None, [1], "nonsense"])
+    def test_bad_values_rejected(self, bad):
+        with pytest.raises(ValueError):
+            parse_timestamp(bad)
+
+    def test_day_is_the_parsed_utc_date(self):
+        for ts in (0, 1391990400, "2014-02-09T23:30:00-05:00", "2014-02-10"):
+            assert timestamp_to_day(ts) == parse_timestamp(ts).date()
 
 
 class TestHashtagSeries:

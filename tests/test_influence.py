@@ -389,6 +389,41 @@ class TestIPL:
         for teleport, component in zip(calls, (fm, fc, ft)):
             assert np.array_equal(teleport, component)
 
+    @pytest.mark.parametrize("config", [
+        IPLConfig(k=3, mu=0.003, epsilon=1e-12, max_iterations=1),
+        IPLConfig(k=3, mu=0.003, epsilon=1e-12, max_iterations=37),
+        IPLConfig(k=3, mu=0.05, epsilon=1e-12, max_iterations=500),
+        IPLConfig(k=3, mu=0.05, epsilon=5e-3, max_iterations=500),
+    ])
+    def test_weights_produce_fused_and_scores(self, config):
+        graph, fm, fc, ft = funnel_graph_and_components()
+        result = ipl(fm, fc, ft, graph, config)
+        if config.epsilon == 5e-3:
+            assert result.converged and result.iterations < config.max_iterations
+        else:
+            assert not result.converged
+            assert result.iterations == config.max_iterations
+        omega = np.array(result.weights)
+        components = np.column_stack([fm, fc, ft])
+        walks = np.column_stack(component_walks(graph, fm, fc, ft))
+        np.testing.assert_allclose(components @ omega, result.fused,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(walks @ omega, result.scores,
+                                   rtol=0, atol=1e-12)
+        assert result.weights == result.history[-1].weights
+
+    def test_integer_rank_ties_match_entity_ids(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            n = rng.randint(1, 12)
+            nodes = tuple(rng.sample(["b", "a", "c", "ab", "ba", "Z", "z", "aa",
+                                      "b0", "a9", "é", "_"], n))
+            scores = np.array([rng.choice([0.1, 0.2, 0.3]) for _ in range(n)])
+            rank = np.empty(n, dtype=np.int64)
+            rank[np.argsort(np.asarray(nodes), kind="stable")] = np.arange(n)
+            assert top_k_indices(scores, rank, n).tolist() == \
+                top_k_indices(scores, nodes, n).tolist()
+
     def test_scores_equal_walk_from_fused(self):
         cases = [(funnel_graph_and_components(), 3)]
         rng = random.Random(47)

@@ -4,12 +4,17 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import trendtag.linking as linking
+import trendtag.similarity as similarity
 from trendtag.corpus import load_tweets
 from trendtag.linking import (build_candidates, longest_match, segment_hashtag,
                               tweet_phrases, tweet_tokens)
 from trendtag.corpus import detect_bursts, BurstConfig
-from trendtag.wiki import build_snapshot
+from trendtag.pipeline import PipelineConfig, annotate_hashtag
+from trendtag.wiki import build_snapshot, first_word_lengths, link_prior
 
 
 def brute_force_match(tokens, lexicon, max_n=5):
@@ -109,6 +114,60 @@ class TestLongestMatch:
                 brute_force_match(tokens, lexicon)
 
 
+class TestFirstWordIndex:
+    def test_longest_key_per_first_word(self):
+        keys = {"new york city", "new york", "york", "a b c d e f g", "a"}
+        assert first_word_lengths(keys) == {"new": 3, "york": 1, "a": 7}
+
+    def test_random_instances_with_index_match_brute_force(self):
+        rng = random.Random(7)
+        alphabet = ["a", "b", "c", "d", "e", "f"]
+        for _ in range(1000):
+            tokens = [rng.choice(alphabet) for _ in range(rng.randint(0, 14))]
+            lexicon = set()
+            for _ in range(rng.randint(0, 15)):
+                n = rng.randint(1, 8)  # keys longer than max_n too
+                lexicon.add(" ".join(rng.choice(alphabet) for _ in range(n)))
+            max_n = rng.randint(1, 6)
+            index = first_word_lengths(lexicon)
+            expected = brute_force_match(tokens, lexicon, max_n)
+            assert longest_match(tokens, lexicon, max_n, index) == expected
+            assert longest_match(tokens, lexicon, max_n) == expected
+
+    @given(st.lists(st.sampled_from(["x", "y", "z", "xy", ""]), max_size=12),
+           st.sets(st.lists(st.sampled_from(["x", "y", "z", "xy", ""]),
+                            min_size=1, max_size=7).map(" ".join), max_size=12),
+           st.integers(min_value=1, max_value=6))
+    @settings(max_examples=200, deadline=None)
+    def test_property_index_matches_brute_force(self, tokens, lexicon, max_n):
+        assert longest_match(tokens, lexicon, max_n,
+                             first_word_lengths(lexicon)) == \
+            brute_force_match(tokens, lexicon, max_n)
+
+    def test_snapshot_index_built_once(self, world_snapshot):
+        index = world_snapshot.first_word_lengths
+        assert index is world_snapshot.first_word_lengths
+        assert index == first_word_lengths(world_snapshot.lexicon)
+
+
+def reference_candidates(burst, corpus, snapshot, sample_size, seed):
+    """Per-tweet, per-occurrence linking: every matched occurrence looks up
+    its link prior and counts once for each entity with positive prior."""
+    ids = sorted(burst.tweet_ids)
+    if len(ids) > sample_size:
+        ids = sorted(random.Random(seed).sample(ids, sample_size))
+    provenance, mention_counts, token_counts = {}, {}, Counter()
+    for tid in ids:
+        tokens = tweet_tokens(corpus.get(tid).text, snapshot.unigram_vocab)
+        token_counts.update(tokens)
+        for mention, _ in brute_force_match(tokens, snapshot.lexicon):
+            for entity, prior in link_prior(snapshot, mention).items():
+                if prior > 0:
+                    provenance[entity] = "seed"
+                    mention_counts.setdefault(entity, Counter())[mention] += 1
+    return tuple(ids), provenance, mention_counts, token_counts
+
+
 def make_world():
     pages = [("City", "ARTICLE"), ("Olympics", "ARTICLE"),
              ("Stadium", "ARTICLE"), ("Park", "ARTICLE"), ("Coast", "ARTICLE")]
@@ -197,3 +256,58 @@ class TestBuildCandidates:
                                 burst.peak_outlier_fraction, ())
         cs = build_candidates(empty, corpus, snapshot)
         assert cs.is_empty()
+
+
+class TestLinkOncePerMention:
+    @staticmethod
+    def fixture_burst(corpus):
+        config = BurstConfig(min_users=1, variance_threshold=1,
+                             trending_fraction_threshold=1)
+        return detect_bursts(corpus, "sochi2014", config)[0]
+
+    def assert_matches_reference(self, burst, corpus, snapshot, sample_size, seed):
+        cs = build_candidates(burst, corpus, snapshot, sample_size=sample_size,
+                              seed=seed)
+        ids, provenance, mention_counts, token_counts = reference_candidates(
+            burst, corpus, snapshot, sample_size, seed)
+        assert cs.sampled_tweet_ids == ids
+        assert cs.sample_token_counts == token_counts
+        seeds = [(e, p) for e, p in cs.provenance.items() if p == "seed"]
+        assert seeds == list(provenance.items())  # same keys, same order
+        assert [(e, list(c.items())) for e, c in cs.mention_counts.items()] == \
+            [(e, list(c.items())) for e, c in mention_counts.items()]
+        return cs
+
+    def test_small_world_matches_reference(self):
+        burst, corpus, snapshot = make_world()
+        self.assert_matches_reference(burst, corpus, snapshot, 1000, 0)
+
+    @pytest.mark.parametrize("sample_size,seed", [(10_000, 0), (500, 1), (50, 7)])
+    def test_fixture_matches_reference(self, world_corpus, world_snapshot,
+                                       sample_size, seed):
+        burst = self.fixture_burst(world_corpus)
+        cs = self.assert_matches_reference(burst, world_corpus, world_snapshot,
+                                           sample_size, seed)
+        assert len({m for c in cs.mention_counts.values() for m in c}) > 1
+
+    def test_link_prior_at_most_twice_per_distinct_mention(
+            self, monkeypatch, world_corpus, world_snapshot):
+        calls = Counter()
+
+        def spy(snapshot, mention, *args, **kwargs):
+            calls[mention] += 1
+            return link_prior(snapshot, mention, *args, **kwargs)
+
+        monkeypatch.setattr(linking, "link_prior", spy)
+        monkeypatch.setattr(similarity, "link_prior", spy)
+        config = PipelineConfig(sample_size=500, seed=1)
+        annotation = annotate_hashtag(world_corpus, world_snapshot, "sochi2014",
+                                      config, force=True)
+        assert annotation.entities
+        burst = detect_bursts(world_corpus, "sochi2014", config.burst,
+                              force=True)[0]
+        _, _, mention_counts, _ = reference_candidates(
+            burst, world_corpus, world_snapshot, 500, 1)
+        distinct = {m for c in mention_counts.values() for m in c}
+        assert set(calls) == distinct
+        assert max(calls.values()) <= 2

@@ -212,6 +212,53 @@ class TestTemporalSimilarity:
             pytest.approx(1.0, abs=1e-9)
 
 
+class TestBatchedTemporalSimilarity:
+    """f_t over an m x w stack equals the per-row definition."""
+
+    @staticmethod
+    def reference(h, e, shift_range):
+        """Per-row, per-shift loop: the least-squares fit written out, which
+        best_shift_scale must also give."""
+        if not np.any(h):
+            return 0.0
+        distances = []
+        for q in range(-shift_range, shift_range + 1):
+            s = shifted(e, q)
+            delta = (h @ s) / (s @ s) if s @ s > 0 else 0.0
+            distances.append(np.linalg.norm(h - delta * s) / np.linalg.norm(h))
+            assert abs(best_shift_scale(h, e, q).distance - distances[-1]) <= 1e-12
+        return math.exp(-min(distances))
+
+    def check(self, h, rows, shift_range):
+        batched = temporal_similarity(h, rows, shift_range)
+        assert batched.shape == (len(rows),)
+        for row, value in zip(rows, batched):
+            assert abs(value - self.reference(h, row, shift_range)) <= 1e-12
+            assert abs(value - temporal_similarity(h, row, shift_range)) <= 1e-12
+
+    def test_random_series(self):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            w = int(rng.integers(1, 15))
+            m = int(rng.integers(1, 30))
+            h = rng.uniform(0, 50, w) * (rng.random(w) < 0.8)
+            h[rng.integers(w)] += 1.0  # non-zero norm
+            rows = rng.uniform(0, 500, (m, w)) * (rng.random((m, w)) < 0.7)
+            self.check(h, rows, int(rng.integers(0, 5)))
+
+    def test_all_zero_entity_rows(self):
+        h = np.array([1.0, 4.0, 9.0, 2.0, 0.0, 1.0, 3.0])
+        rows = np.zeros((4, 7))
+        rows[1] = [0, 2, 8, 3, 1, 0, 0]
+        self.check(h, rows, 3)
+        assert temporal_similarity(h, rows)[0] == pytest.approx(math.exp(-1.0))
+
+    def test_zero_norm_hashtag(self):
+        rows = np.random.default_rng(3).uniform(0, 9, (5, 7))
+        assert temporal_similarity(np.zeros(7), rows).tolist() == [0.0] * 5
+        self.check(np.zeros(7), rows, 3)
+
+
 class TestNormalizeScores:
     def test_sums_to_one(self):
         assert normalize_scores([1, 3]).tolist() == [0.25, 0.75]

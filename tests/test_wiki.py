@@ -1,7 +1,7 @@
 """Snapshot building, lexicon priors, temporal contexts, and view series."""
 
 from collections import Counter
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +224,22 @@ class TestLoadSnapshot:
         assert snap.lexicon["a"] == (("A", 3),)  # title (1) + anchor (2)
         assert snap.incoming("B") == frozenset({"A"})
         assert snap.pageviews["A"] == {date(2014, 2, 1): 3}
+
+    def test_revision_timestamps_parsed_like_tweets(self):
+        revisions = [
+            {"title": "A", "timestamp": "2014-02-09T23:30:00-05:00", "text": "x"},
+            {"title": "A", "timestamp": 1391990400, "text": "x y"},
+            {"title": "A", "timestamp": True, "text": "bool"},
+            {"title": "A", "timestamp": 10 ** 20, "text": "out of range"},
+            {"title": "A", "timestamp": None, "text": "none"},
+        ]
+        snap = snapshot(pages=[("A", "ARTICLE")], revisions=revisions)
+        assert snap.report.dropped_revisions == 3
+        stamps = [dt for dt, _ in snap.revisions["A"]]
+        assert [dt.utcoffset() for dt in stamps] == [timedelta(0)] * 2
+        assert [dt.date() for dt in stamps] == [date(2014, 2, 10)] * 2
+        assert temporal_context(snap, "A", date(2014, 2, 10),
+                                date(2014, 2, 10)) == Counter({"x": 1, "y": 1})
 
     def test_parse_drops_add_to_build_drops(self, tmp_path):
         (tmp_path / "pages.tsv").write_text("A\tARTICLE\n")
