@@ -13,7 +13,7 @@ from .influence import (InfluenceGraph, IPLConfig, IPLResult,
                         build_influence_graph, component_walks, ipl,
                         milne_witten, project_simplex, random_walk)
 from .linking import (CandidateSet, build_candidates, longest_match,
-                      segment_hashtag, tweet_phrases, tweet_tokens)
+                      segment_hashtag, tweet_tokens)
 from .pipeline import (PipelineConfig, RankedAnnotation, RankedEntity,
                        annotate_hashtag, evaluate, load_gold, read_annotations,
                        run_annotate, trending_hashtags, write_annotations)
@@ -36,6 +36,6 @@ __all__ = [
     "outlier_fraction", "outlier_series", "project_simplex", "random_walk",
     "read_annotations", "run_annotate", "segment_hashtag", "temporal_context",
     "temporal_similarity",
-    "trending_hashtags", "tweet_phrases", "tweet_tokens", "view_series",
+    "trending_hashtags", "tweet_tokens", "view_series",
     "write_annotations",
 ]

@@ -10,6 +10,7 @@ import sys
 from dataclasses import fields
 
 from .corpus import BurstConfig, load_tweets_jsonl
+from .influence import IPLConfig
 from .pipeline import (PipelineConfig, evaluate, load_gold, read_annotations,
                        run_annotate, trending_hashtags, write_annotations)
 from .wiki import load_snapshot
@@ -21,6 +22,7 @@ _CONFIG_FLAGS = {
     "epsilon": float, "shift_range": int, "sample_size": int,
     "expansion_cap": int, "seed": int, "relevance_threshold": int,
 }
+_SECTIONS = {"burst": BurstConfig, "learner": IPLConfig}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -31,26 +33,33 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args) -> PipelineConfig:
+    """Config file values, overridden by flags, each sent to the config
+    that declares it: `burst` (BurstConfig), `learner` (IPLConfig) or
+    PipelineConfig itself."""
     values: dict = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        known = ({f.name for f in fields(PipelineConfig)} - {"burst"}) | \
-            {f.name for f in fields(BurstConfig)} | {"lambda"}
-        for key, val in file_values.items():
-            if key not in known:
-                raise SystemExit(f"unknown config key: {key}")
-            values["lam" if key == "lambda" else key] = val
+            for key, val in json.load(fh).items():
+                values["lam" if key == "lambda" else key] = val
     for name in _CONFIG_FLAGS:
         val = getattr(args, name, None)
         if val is not None:
             values[name] = val
-    burst_values = {k: values.pop(k) for k in list(values)
-                    if k in {f.name for f in fields(BurstConfig)} and k != "w"}
-    config = PipelineConfig(**values)
-    for key, val in burst_values.items():
-        setattr(config.burst, key, val)
-    return config
+    home = {f.name: None for f in fields(PipelineConfig)
+            if f.name not in _SECTIONS}
+    for section, cls in _SECTIONS.items():
+        home.update({f.name: section for f in fields(cls)})
+    grouped: dict = {section: {} for section in (None, *_SECTIONS)}
+    for key, val in values.items():
+        if key not in home:
+            raise SystemExit(f"unknown config key: {key}")
+        grouped[home[key]][key] = val
+    try:
+        sections = {section: cls(**grouped[section])
+                    for section, cls in _SECTIONS.items()}
+    except ValueError as exc:
+        raise SystemExit(f"bad config: {exc}") from exc
+    return PipelineConfig(**grouped[None], **sections)
 
 
 def _load_snapshot(args):
@@ -134,7 +143,6 @@ def cmd_sweep(args) -> int:
     hashtags = args.hashtag if args.hashtag else None
     sweep_report = {}
     for w in [int(x) for x in args.sweep_w.split(",")]:
-        config.w = w
         config.burst.w = w
         annotations = list(run_annotate(corpus, snapshot, config, hashtags))
         entry: dict = {

@@ -17,6 +17,9 @@ import numpy as np
 
 from .wiki import WikiSnapshot
 
+WALK_TOL = 1e-10
+WALK_MAX_ITER = 200
+
 
 def milne_witten(e1: str, e2: str, snapshot: WikiSnapshot) -> float:
     """In-link overlap relatedness of two entities, clamped to [0, 1].
@@ -84,16 +87,17 @@ def build_influence_graph(entities, snapshot: WikiSnapshot) -> InfluenceGraph:
     return InfluenceGraph(nodes, matrix, dangling)
 
 
-def random_walk(graph: InfluenceGraph, s: np.ndarray, tau: float = 0.85,
-                tol: float = 1e-10, max_iter: int = 200) -> tuple[np.ndarray, bool]:
+def random_walk(graph: InfluenceGraph, s: np.ndarray,
+                tau: float = 0.85) -> tuple[np.ndarray, bool]:
     """Fixed point of r = tau*B'r + (1-tau)*s, where B' completes dangling
     columns with the uniform distribution.
 
     Uniform (rather than s-dependent) dangling completion keeps the walk an
     exactly linear function of the teleport vector, which the weight
-    learner's gradient relies on. Returns the score vector and a
-    convergence flag; on hitting max_iter the last iterate is returned with
-    the flag False.
+    learner's gradient relies on. Power iteration stops once an update
+    moves r by less than WALK_TOL in L1. Returns the score vector and a
+    convergence flag; after WALK_MAX_ITER updates the last iterate is
+    returned with the flag False.
     """
     s = np.asarray(s, dtype=float)
     if np.any(s < 0) or not math.isclose(s.sum(), 1.0, abs_tol=1e-9):
@@ -102,9 +106,9 @@ def random_walk(graph: InfluenceGraph, s: np.ndarray, tau: float = 0.85,
         raise ValueError("damping factor must be in [0, 1)")
     n = graph.size
     r = s.copy()
-    for _ in range(max_iter):
+    for _ in range(WALK_MAX_ITER):
         nxt = tau * (graph.matrix @ r + r[graph.dangling].sum() / n) + (1 - tau) * s
-        if np.abs(nxt - r).sum() < tol:
+        if np.abs(nxt - r).sum() < WALK_TOL:
             return nxt, True
         r = nxt
     return r, False

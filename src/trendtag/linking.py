@@ -62,17 +62,6 @@ def tweet_tokens(text: str, vocab=frozenset()) -> list[str]:
     return tokens
 
 
-def tweet_phrases(text: str, vocab=frozenset(),
-                  max_n: int = MAX_NGRAM) -> list[str]:
-    """All n-grams (n <= max_n) of the filtered tokens, longest-first per start."""
-    tokens = tweet_tokens(text, vocab)
-    phrases = []
-    for i in range(len(tokens)):
-        for n in range(min(max_n, len(tokens) - i), 0, -1):
-            phrases.append(" ".join(tokens[i:i + n]))
-    return phrases
-
-
 def longest_match(tokens: list[str], lexicon, max_n: int = MAX_NGRAM,
                   first_words: dict[str, int] | None = None
                   ) -> list[tuple[str, int]]:

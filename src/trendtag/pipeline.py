@@ -24,13 +24,11 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class PipelineConfig:
-    k: int = 15
-    w: int = 7
-    tau: float = 0.85
+    """Settings of a run. Each setting has one home: the burst filters and
+    the window w live in `burst`, the learner's k, tau, mu, epsilon and
+    max_iterations in `learner`, and the rest here."""
+
     lam: float = 0.9
-    mu: float = 0.003
-    epsilon: float = 1e-6
-    max_iterations: int = 500
     shift_range: int = 3
     sample_size: int = 10_000
     expansion_cap: int = 50
@@ -38,13 +36,7 @@ class PipelineConfig:
     relevance_threshold: int = 1
     map_cutoff: int = 15
     burst: BurstConfig = field(default_factory=BurstConfig)
-
-    def __post_init__(self):
-        self.burst.w = self.w
-
-    def ipl_config(self) -> IPLConfig:
-        return IPLConfig(k=self.k, mu=self.mu, epsilon=self.epsilon,
-                         max_iterations=self.max_iterations, tau=self.tau)
+    learner: IPLConfig = field(default_factory=IPLConfig)
 
 
 @dataclass
@@ -158,7 +150,7 @@ def annotate_hashtag(corpus: TweetCorpus, snapshot: WikiSnapshot, hashtag: str,
     f_c = _component_or_uniform(raw_c, entities)
     f_t = _component_or_uniform(raw_t, entities)
     graph = build_influence_graph(entities, snapshot)
-    result = ipl(f_m, f_c, f_t, graph, config.ipl_config())
+    result = ipl(f_m, f_c, f_t, graph, config.learner)
     index = {e: i for i, e in enumerate(graph.nodes)}
     ranked = [
         RankedEntity(

@@ -29,8 +29,8 @@ def normalize_scores(values) -> np.ndarray:
     return arr / total if total > 0 else arr
 
 
-def mention_similarity(candidates: CandidateSet, snapshot: WikiSnapshot,
-                       over_entity_anchors: bool = False) -> dict[str, float]:
+def mention_similarity(candidates: CandidateSet,
+                       snapshot: WikiSnapshot) -> dict[str, float]:
     """f_m per entity: sum over its mentions of link prior times mention frequency.
 
     Expansion-only entities have no mentions and score 0.
@@ -42,8 +42,7 @@ def mention_similarity(candidates: CandidateSet, snapshot: WikiSnapshot,
         for mention, q in candidates.mention_frequencies(entity).items():
             prior = priors.get(mention)
             if prior is None:
-                prior = priors[mention] = link_prior(snapshot, mention,
-                                                     over_entity_anchors)
+                prior = priors[mention] = link_prior(snapshot, mention)
             total += prior.get(entity, 0.0) * q
         scores[entity] = total
     return scores
@@ -58,17 +57,13 @@ def language_model(counts: Counter) -> dict[str, float]:
 
 
 def context_similarity(temporal_counts: Counter, background_counts: Counter,
-                       hashtag_counts: Counter, lam: float = 0.9,
-                       printed_form: bool = False) -> float:
+                       hashtag_counts: Counter, lam: float = 0.9) -> float:
     """f_c = exp(-KL) between the entity's mixture model and the tweet model.
 
     The entity model mixes the temporal (revision-diff) and background
     (current article) language models with weight lam. Both distributions
     are renormalized over the common vocabulary; an empty common
     vocabulary yields 0.
-
-    printed_form=True drops the logarithm from the divergence sum (a
-    pseudo-divergence variant, exposed for comparison only).
     """
     if not 0 <= lam <= 1:
         raise ValueError("lam must be in [0, 1]")
@@ -90,7 +85,7 @@ def context_similarity(temporal_counts: Counter, background_counts: Counter,
         pe = mixture[w] / z_e
         ph = max(p_hashtag[w] / z_h, KL_FLOOR)
         ratio = max(pe / ph, KL_FLOOR)
-        kl += pe * (ratio if printed_form else math.log(ratio))
+        kl += pe * math.log(ratio)
     return math.exp(-kl)
 
 

@@ -44,8 +44,7 @@ class WikiSnapshot:
     _first_word_lengths: dict[str, int] | None = None
 
     def __init__(self, entities, lexicon, out_links, in_links,
-                 revisions, latest_text, pageviews, entity_anchor_totals,
-                 report: BuildReport):
+                 revisions, latest_text, pageviews, report: BuildReport):
         self.entities: frozenset[str] = entities
         # surface form -> tuple of (entity, link count), count-descending
         self.lexicon: dict[str, tuple[tuple[str, int], ...]] = lexicon
@@ -55,7 +54,6 @@ class WikiSnapshot:
         self.revisions: dict[str, tuple[tuple[datetime, str], ...]] = revisions
         self.latest_text: dict[str, str] = latest_text
         self.pageviews: dict[str, dict[date, int]] = pageviews
-        self._anchor_totals = entity_anchor_totals
         self.report = report
         self._unigram_vocab: frozenset[str] | None = None
 
@@ -199,10 +197,6 @@ def build_snapshot(pages: Iterable[tuple[str, str]],
         key: tuple(sorted(c.items(), key=lambda kv: (-kv[1], kv[0])))
         for key, c in counts.items()
     }
-    anchor_totals: Counter = Counter()
-    for entries in lexicon.values():
-        for e, n in entries:
-            anchor_totals[e] += n
 
     rev_raw: dict[str, list[tuple[datetime, str]]] = {}
     for rec in revisions:
@@ -243,7 +237,7 @@ def build_snapshot(pages: Iterable[tuple[str, str]],
         entities, lexicon,
         {e: frozenset(s) for e, s in out_links.items()},
         {e: frozenset(s) for e, s in in_links.items()},
-        revs, latest_text, views, dict(anchor_totals), report)
+        revs, latest_text, views, report)
 
 
 def _read_tsv(path, ncols, report: BuildReport, field: str):
@@ -301,22 +295,13 @@ def load_snapshot(wiki_dir) -> WikiSnapshot:
     return build_snapshot(pages, anchors, links, revisions, pageviews, report)
 
 
-def link_prior(snapshot: WikiSnapshot, mention: str,
-               over_entity_anchors: bool = False) -> dict[str, float]:
-    """Probability of each candidate entity given a surface form.
-
-    Default: counts normalized over the candidate entities of the mention.
-    over_entity_anchors=True instead divides each count by the total anchor
-    mass of the entity (the alternative normalization), renormalized so the
-    result is still a distribution over the candidates.
-    """
+def link_prior(snapshot: WikiSnapshot, mention: str) -> dict[str, float]:
+    """Probability of each candidate entity given a surface form: its link
+    counts normalized over the candidate entities of the mention."""
     entries = snapshot.lexicon.get(normalize_surface(mention))
     if not entries:
         return {}
-    if over_entity_anchors:
-        raw = {e: n / snapshot._anchor_totals[e] for e, n in entries}
-    else:
-        raw = {e: float(n) for e, n in entries}
+    raw = {e: float(n) for e, n in entries}
     total = sum(raw.values())
     return {e: v / total for e, v in raw.items()}
 

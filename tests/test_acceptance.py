@@ -211,7 +211,7 @@ def test_end_to_end_fixture():
     entities = candidates.entities
     f_m, f_c, f_t = (_component_or_uniform(r, entities) for r in raw)
     graph = build_influence_graph(entities, snapshot)
-    result = ipl(f_m, f_c, f_t, graph, config.ipl_config())
+    result = ipl(f_m, f_c, f_t, graph, config.learner)
     assert result.ranking[0][0] == TARGET
     for prev, cur in zip(result.history, result.history[1:]):
         if prev.top_k == cur.top_k:

@@ -2,11 +2,14 @@
 
 import json
 import pickle
+from dataclasses import fields
 
 import pytest
 
-from trendtag.cli import main
-from trendtag.pipeline import read_annotations
+from trendtag.cli import _build_config, build_parser, main
+from trendtag.corpus import BurstConfig
+from trendtag.influence import IPLConfig
+from trendtag.pipeline import PipelineConfig, read_annotations
 from world import TARGET, gold_labels, tweet_records, wiki_tables
 
 
@@ -119,6 +122,66 @@ class TestAnnotate:
     def test_requires_a_snapshot_source(self, datadir):
         with pytest.raises(SystemExit):
             main(["annotate", "--tweets", str(datadir / "tweets.jsonl")])
+
+
+class TestConfigRouting:
+    @staticmethod
+    def build(*argv):
+        args = build_parser().parse_args(["bursts", "--tweets", "t.jsonl",
+                                          *argv])
+        return _build_config(args)
+
+    @staticmethod
+    def config_file(tmp_path, values):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(values), encoding="utf-8")
+        return str(path)
+
+    def test_no_setting_has_two_homes(self):
+        own = {f.name for f in fields(PipelineConfig)}
+        burst = {f.name for f in fields(BurstConfig)}
+        learner = {f.name for f in fields(IPLConfig)}
+        assert not (own & burst or own & learner or burst & learner)
+
+    def test_flags_land_in_their_config(self):
+        config = self.build("--w", "5", "--k", "3", "--tau", "0.5",
+                            "--mu", "0.01", "--epsilon", "1e-4",
+                            "--lambda", "0.2", "--seed", "4")
+        assert config.burst.w == 5
+        assert config.learner == IPLConfig(k=3, tau=0.5, mu=0.01,
+                                           epsilon=1e-4)
+        assert (config.lam, config.seed) == (0.2, 4)
+
+    def test_config_file_keys_land_in_their_config(self, tmp_path):
+        path = self.config_file(tmp_path, {"w": 5, "mu": 0.01,
+                                           "max_iterations": 7,
+                                           "min_users": 3, "lambda": 0.5})
+        config = self.build("--config", path)
+        assert (config.burst.w, config.burst.min_users) == (5, 3)
+        assert config.learner == IPLConfig(mu=0.01, max_iterations=7)
+        assert config.lam == 0.5
+        assert self.build("--config", path, "--w", "9").burst.w == 9
+
+    def test_defaults_without_settings(self):
+        assert self.build() == PipelineConfig()
+
+    @pytest.mark.parametrize("key", ["mystery", "burst", "learner"])
+    def test_unknown_key_rejected(self, tmp_path, key):
+        with pytest.raises(SystemExit, match="unknown config key"):
+            self.build("--config", self.config_file(tmp_path, {key: 1}))
+
+    def test_invalid_value_rejected(self, tmp_path):
+        with pytest.raises(SystemExit, match="bad config"):
+            self.build("--config", self.config_file(tmp_path, {"mu": 0}))
+
+    def test_window_flag_sets_the_burst_window(self, datadir, tmp_path):
+        out = tmp_path / "annotations.jsonl"
+        assert main(["annotate", "--tweets", str(datadir / "tweets.jsonl"),
+                     "--wiki-dir", str(datadir / "wiki"),
+                     "--config", str(datadir / "config.json"),
+                     "--w", "5", "--out", str(out)]) == 0
+        ann = read_annotations(out)[0]
+        assert (ann.window_end - ann.window_start).days + 1 == 5
 
 
 class TestEvaluate:

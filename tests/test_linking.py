@@ -11,7 +11,7 @@ import trendtag.linking as linking
 import trendtag.similarity as similarity
 from trendtag.corpus import load_tweets
 from trendtag.linking import (build_candidates, longest_match, segment_hashtag,
-                              tweet_phrases, tweet_tokens)
+                              tweet_tokens)
 from trendtag.corpus import detect_bursts, BurstConfig
 from trendtag.pipeline import PipelineConfig, annotate_hashtag
 from trendtag.wiki import build_snapshot, first_word_lengths, link_prior
@@ -66,20 +66,6 @@ class TestSegmentHashtag:
     def test_partial_failure_returns_whole(self):
         vocab = {"winter"}
         assert segment_hashtag("winterxlympics", vocab) == ["winterxlympics"]
-
-
-class TestTweetPhrases:
-    def test_combinatorial_count(self):
-        phrases = tweet_phrases("one two three")
-        assert len(phrases) == 6  # 1 trigram + 2 bigrams + 3 unigrams
-
-    def test_longest_first_per_start(self):
-        phrases = tweet_phrases("a b c")
-        assert phrases == ["a b c", "a b", "a", "b c", "b", "c"]
-
-    def test_capped_at_five(self):
-        phrases = tweet_phrases("a b c d e f g")
-        assert max(len(p.split()) for p in phrases) == 5
 
 
 class TestLongestMatch:

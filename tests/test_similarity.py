@@ -131,12 +131,6 @@ class TestContextSimilarity:
         low = context_similarity(temporal, background, hashtag, lam=0.1)
         assert high >= low
 
-    def test_printed_form_variant(self):
-        tokens = Counter({"a": 4, "b": 1})
-        # without the log the "divergence" of identical distributions is 1
-        fc = context_similarity(tokens, tokens, tokens, printed_form=True)
-        assert fc == pytest.approx(math.exp(-1.0))
-
     @given(st.dictionaries(st.sampled_from("abcde"),
                            st.integers(min_value=0, max_value=9)),
            st.dictionaries(st.sampled_from("abcde"),

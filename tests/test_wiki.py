@@ -123,17 +123,6 @@ class TestLinkPrior:
     def test_normalized_input_expected(self, small):
         assert link_prior(small, "  SoChI ") == link_prior(small, "sochi")
 
-    def test_alternative_normalization_flag(self):
-        snap = snapshot(
-            pages=[("City", "ARTICLE"), ("Olympics", "ARTICLE")],
-            anchors=[("sochi", "City", 3), ("sochi", "Olympics", 3),
-                     ("resort", "City", 6)])
-        # City's anchor mass is diluted by "resort", so under the
-        # entity-anchor normalization Olympics wins for "sochi"
-        lp = link_prior(snap, "sochi", over_entity_anchors=True)
-        assert lp["Olympics"] > lp["City"]
-        assert sum(lp.values()) == pytest.approx(1.0)
-
     @given(st.lists(st.tuples(st.sampled_from("ABCD"),
                               st.integers(min_value=1, max_value=50)),
                     min_size=1, max_size=8))
