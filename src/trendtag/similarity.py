@@ -75,7 +75,8 @@ def context_similarity(temporal_counts: Counter, background_counts: Counter,
         if p > 0:
             mixture[w] = p
     p_hashtag = language_model(hashtag_counts)
-    common = set(mixture) & set(p_hashtag)
+    # sorted, so the float sums do not follow the process's string hashes
+    common = sorted(set(mixture) & set(p_hashtag))
     if not common:
         return 0.0
     z_e = sum(mixture[w] for w in common)

@@ -1,7 +1,11 @@
 """End-to-end annotation runs and ranking evaluation."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +182,26 @@ class TestSerialization:
             write_annotations(anns, path)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+
+    def test_bytes_independent_of_hash_seed(self, tmp_path):
+        # set iteration order follows PYTHONHASHSEED; the output must not
+        script = ("import sys\n"
+                  "from test_pipeline import world_config\n"
+                  "from world import build_corpus, build_wiki\n"
+                  "from trendtag.pipeline import run_annotate, write_annotations\n"
+                  "write_annotations(run_annotate(build_corpus(), build_wiki(),\n"
+                  "                               world_config(sample_size=800)),\n"
+                  "                  sys.argv[1])\n")
+        src = Path(pipeline.__file__).parents[1]
+        path = os.pathsep.join([str(src), str(Path(__file__).parent)])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"hash{hash_seed}.jsonl"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+            subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                           check=True, timeout=300)
+            outputs.append(out.read_bytes())
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_evaluation_on_world(self, world_corpus, world_snapshot):
         anns = [annotate_hashtag(world_corpus, world_snapshot, "sochi2014",
