@@ -39,6 +39,12 @@ def random_graph(rng, n):
     return InfluenceGraph(nodes, matrix, dangling)
 
 
+def all_dangling_graph(n):
+    """n candidates with no relatedness mass: every column is dangling."""
+    nodes = tuple(f"e{i:03d}" for i in range(n))
+    return InfluenceGraph(nodes, np.zeros((n, n)), np.ones(n, dtype=bool))
+
+
 def random_simplex(rng, n=3):
     cuts = sorted(rng.random() for _ in range(n - 1))
     parts = np.diff([0.0] + cuts + [1.0])
@@ -178,6 +184,15 @@ class TestRandomWalk:
             r, _ = random_walk(graph, random_distribution(rng, n))
             assert r.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(r >= -1e-12)
+
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_all_dangling_closed_form(self, n):
+        # every column completes to uniform, so B'r = 1/n for any
+        # distribution r, and the fixed point is tau/n + (1 - tau)s
+        s = random_distribution(random.Random(n), n)
+        r, converged = random_walk(all_dangling_graph(n), s, tau=0.85)
+        assert converged
+        np.testing.assert_allclose(r, 0.85 / n + 0.15 * s, rtol=0, atol=1e-12)
 
     def test_bad_teleport_rejected(self):
         graph = random_graph(random.Random(0), 4)
@@ -319,6 +334,17 @@ class TestIPL:
         assert result.converged
         assert result.iterations == 1
         assert result.ranking == [("only", pytest.approx(1.0))]
+
+    def test_all_dangling_graph(self):
+        rng = random.Random(5)
+        fm, fc, ft = (random_distribution(rng, 12) for _ in range(3))
+        result = ipl(fm, fc, ft, all_dangling_graph(12), IPLConfig(k=5))
+        assert min(result.weights) >= 0
+        assert sum(result.weights) == pytest.approx(1.0, abs=1e-12)
+        titles = [title for title, _ in result.ranking]
+        assert len(set(titles)) == 5
+        scores = [score for _, score in result.ranking]
+        assert scores == sorted(scores, reverse=True)
 
     def test_temporal_component_learns_dominant_weight(self):
         graph, fm, fc, ft = funnel_graph_and_components()

@@ -10,10 +10,15 @@ from pathlib import Path
 import pytest
 
 import trendtag.pipeline as pipeline
+from trendtag.corpus import detect_bursts
+from trendtag.influence import build_influence_graph, random_walk, top_k_indices
+from trendtag.linking import build_candidates
 from trendtag.pipeline import (PipelineConfig, RankedAnnotation, RankedEntity,
                                annotate_hashtag, average_precision, evaluate,
-                               precision_at, run_annotate, trending_hashtags,
-                               write_annotations, read_annotations)
+                               precision_at, run_annotate, similarity_components,
+                               trending_hashtags, write_annotations,
+                               read_annotations)
+from trendtag.similarity import normalize_scores
 from world import CITY, TARGET, gold_labels
 
 
@@ -158,6 +163,41 @@ class TestAnnotateHashtag:
     def test_trending_detection_finds_fixture_hashtag(self, world_corpus):
         bursts = trending_hashtags(world_corpus, world_config())
         assert [b.hashtag for b in bursts] == ["sochi2014"]
+
+
+class TestRankingQuality:
+    """MAP@15 on the fixture, which the benchmark worlds (saturated near
+    1.0) cannot see: the fused ranking must not fall below today's value
+    and must beat a text-only ranking (no temporal signal)."""
+
+    def text_only_ranking(self, corpus, snapshot, config):
+        burst = detect_bursts(corpus, "sochi2014", config.burst)[0]
+        candidates = build_candidates(burst, corpus, snapshot,
+                                      config.sample_size,
+                                      config.expansion_cap, config.seed)
+        raw_m, raw_c, _ = similarity_components(burst, candidates, corpus,
+                                                snapshot, config)
+        graph = build_influence_graph(candidates.entities, snapshot)
+        f_m = normalize_scores([raw_m[e] for e in graph.nodes])
+        f_c = normalize_scores([raw_c[e] for e in graph.nodes])
+        r, _ = random_walk(graph, 0.5 * f_m + 0.5 * f_c, config.learner.tau)
+        return [graph.nodes[i]
+                for i in top_k_indices(r, graph.nodes, config.learner.k)]
+
+    def test_fused_map_holds_and_beats_text_only(self, world_corpus,
+                                                 world_snapshot):
+        config = world_config()
+        gold = gold_labels()
+        ann = annotate_hashtag(world_corpus, world_snapshot, "sochi2014",
+                               config)
+        fused = evaluate([ann], gold, cutoff=15)["macro"]["map"]
+        relevant = {title for (tag, title), grade in gold.items()
+                    if tag == "sochi2014" and grade >= 1}
+        text_only = average_precision(
+            self.text_only_ranking(world_corpus, world_snapshot, config),
+            relevant, 15)
+        assert fused >= 0.42457  # 0.424579 at the default config
+        assert fused > text_only
 
 
 class TestSerialization:
