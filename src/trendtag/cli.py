@@ -57,7 +57,7 @@ def _build_config(args) -> PipelineConfig:
     try:
         sections = {section: cls(**grouped[section])
                     for section, cls in _SECTIONS.items()}
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SystemExit(f"bad config: {exc}") from exc
     return PipelineConfig(**grouped[None], **sections)
 

@@ -170,9 +170,11 @@ class TestConfigRouting:
         with pytest.raises(SystemExit, match="unknown config key"):
             self.build("--config", self.config_file(tmp_path, {key: 1}))
 
-    def test_invalid_value_rejected(self, tmp_path):
+    @pytest.mark.parametrize("values", [{"mu": 0}, {"k": "3"},
+                                        {"median_window_days": 60}])
+    def test_invalid_value_rejected(self, tmp_path, values):
         with pytest.raises(SystemExit, match="bad config"):
-            self.build("--config", self.config_file(tmp_path, {"mu": 0}))
+            self.build("--config", self.config_file(tmp_path, values))
 
     def test_window_flag_sets_the_burst_window(self, datadir, tmp_path):
         out = tmp_path / "annotations.jsonl"
