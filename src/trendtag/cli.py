@@ -57,18 +57,9 @@ def _build_config(args) -> PipelineConfig:
     try:
         sections = {section: cls(**grouped[section])
                     for section, cls in _SECTIONS.items()}
+        return PipelineConfig(**grouped[None], **sections)
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"bad config: {exc}") from exc
-    return PipelineConfig(**grouped[None], **sections)
-
-
-def _load_snapshot(args):
-    if getattr(args, "snapshot", None):
-        with open(args.snapshot, "rb") as fh:
-            return pickle.load(fh)
-    if getattr(args, "wiki_dir", None):
-        return load_snapshot(args.wiki_dir)
-    raise SystemExit("one of --wiki-dir or --snapshot is required")
 
 
 def _load_corpus(args):
@@ -108,7 +99,7 @@ def cmd_bursts(args) -> int:
 def cmd_annotate(args) -> int:
     config = _build_config(args)
     corpus = _load_corpus(args)
-    snapshot = _load_snapshot(args)
+    snapshot = load_snapshot(args.wiki_dir)
     hashtags = args.hashtag if args.hashtag else None
     annotations = run_annotate(corpus, snapshot, config, hashtags)
     if args.out:
@@ -138,7 +129,7 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep(args) -> int:
     config = _build_config(args)
     corpus = _load_corpus(args)
-    snapshot = _load_snapshot(args)
+    snapshot = load_snapshot(args.wiki_dir)
     gold = load_gold(args.gold) if args.gold else None
     hashtags = args.hashtag if args.hashtag else None
     sweep_report = {}
@@ -171,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="build and summarize snapshot stores")
     p.add_argument("--wiki-dir", required=True)
-    p.add_argument("--out", help="write the built snapshot as a pickle")
+    p.add_argument("--out", help="export the built snapshot as a pickle "
+                   "(trendtag never reads it back)")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("bursts", help="list trending hashtags and their windows")
@@ -181,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("annotate", help="annotate hashtags end to end")
     p.add_argument("--tweets", required=True)
-    p.add_argument("--wiki-dir")
-    p.add_argument("--snapshot", help="pickled snapshot from `ingest --out`")
+    p.add_argument("--wiki-dir", required=True)
     p.add_argument("--hashtag", action="append",
                    help="explicit hashtag (repeatable); bypasses trending filter")
     p.add_argument("--out", help="write annotations.jsonl here")
@@ -198,8 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="re-run annotation across burst window sizes")
     p.add_argument("--tweets", required=True)
-    p.add_argument("--wiki-dir")
-    p.add_argument("--snapshot")
+    p.add_argument("--wiki-dir", required=True)
     p.add_argument("--hashtag", action="append")
     p.add_argument("--sweep-w", required=True, help="comma-separated window sizes")
     p.add_argument("--gold")

@@ -58,9 +58,6 @@ class InfluenceGraph:
     def size(self) -> int:
         return len(self.nodes)
 
-    def index(self, entity: str) -> int:
-        return self.nodes.index(entity)
-
 
 def build_influence_graph(entities, snapshot: WikiSnapshot) -> InfluenceGraph:
     """Restrict the inverted link graph to the candidates and weight it.

@@ -162,7 +162,7 @@ def build_candidates(burst: HashtagBurst, corpus: TweetCorpus,
                 result.provenance[entity] = "seed"
                 result.mention_counts.setdefault(entity, Counter())[mention] = count
 
-    for entity in sorted(e for e, p in result.provenance.items() if p == "seed"):
+    for entity in result.seeds:
         neighbors = sorted(snapshot.neighbors(entity) - {entity})
         ranked = sorted(neighbors,
                         key=lambda nb: (-milne_witten(entity, nb, snapshot), nb))

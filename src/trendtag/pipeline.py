@@ -38,6 +38,16 @@ class PipelineConfig:
     burst: BurstConfig = field(default_factory=BurstConfig)
     learner: IPLConfig = field(default_factory=IPLConfig)
 
+    def __post_init__(self):
+        if self.sample_size < 1 or self.map_cutoff < 1:
+            raise ValueError("sample_size and map_cutoff must be >= 1")
+        if self.expansion_cap < 0 or self.shift_range < 0:
+            raise ValueError("expansion_cap and shift_range must be >= 0")
+        if not 0 <= self.lam <= 1:
+            raise ValueError("lam must be in [0, 1]")
+        if self.relevance_threshold not in (1, 2):
+            raise ValueError("relevance_threshold must be 1 or 2")
+
 
 @dataclass
 class RankedEntity:

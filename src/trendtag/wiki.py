@@ -8,17 +8,17 @@ with redirect views folded into their targets.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .corpus import TimeSeries, parse_timestamp
+from .corpus import TimeSeries, iter_jsonl, parse_timestamp
 from .textutil import normalize_surface, tokenize
 
 log = logging.getLogger(__name__)
@@ -40,9 +40,6 @@ class BuildReport:
 class WikiSnapshot:
     """Immutable bundle of the lexicon, link graph, revisions, and page views."""
 
-    # a class default, so a snapshot pickled before this index existed loads
-    _first_word_lengths: dict[str, int] | None = None
-
     def __init__(self, entities, lexicon, out_links, in_links,
                  revisions, latest_text, pageviews, report: BuildReport):
         self.entities: frozenset[str] = entities
@@ -55,7 +52,6 @@ class WikiSnapshot:
         self.latest_text: dict[str, str] = latest_text
         self.pageviews: dict[str, dict[date, int]] = pageviews
         self.report = report
-        self._unigram_vocab: frozenset[str] | None = None
 
     @property
     def entity_count(self) -> int:
@@ -70,21 +66,16 @@ class WikiSnapshot:
     def neighbors(self, entity: str) -> frozenset[str]:
         return self.incoming(entity) | self.outgoing(entity)
 
-    @property
+    @cached_property
     def unigram_vocab(self) -> frozenset[str]:
         """All single words occurring in lexicon keys; drives hashtag segmentation."""
-        if self._unigram_vocab is None:
-            self._unigram_vocab = frozenset(
-                w for key in self.lexicon for w in key.split())
-        return self._unigram_vocab
+        return frozenset(w for key in self.lexicon for w in key.split())
 
-    @property
+    @cached_property
     def first_word_lengths(self) -> dict[str, int]:
         """First word of each lexicon key -> most words of a key starting
         with it; bounds the n-grams the longest-match scan tries."""
-        if self._first_word_lengths is None:
-            self._first_word_lengths = first_word_lengths(self.lexicon)
-        return self._first_word_lengths
+        return first_word_lengths(self.lexicon)
 
 
 def first_word_lengths(keys) -> dict[str, int]:
@@ -256,43 +247,36 @@ def _read_tsv(path, ncols, report: BuildReport, field: str):
             yield parts
 
 
+def _parse_tsv(path, ncols, parse, report: BuildReport, field: str):
+    """Yield parse(row) for each row of _read_tsv; a row that parse rejects
+    with ValueError is logged and counted in report.<field> too."""
+    for row in _read_tsv(path, ncols, report, field):
+        try:
+            yield parse(row)
+        except ValueError:
+            log.warning("skipping unparsable row in %s: %r", path, row)
+            setattr(report, field, getattr(report, field) + 1)
+
+
 def load_snapshot(wiki_dir) -> WikiSnapshot:
-    """Read pages.tsv, anchors.tsv, links.tsv, revisions.jsonl, pageviews.tsv.
+    """Stream pages.tsv, anchors.tsv, links.tsv, revisions.jsonl and
+    pageviews.tsv into build_snapshot, each file read once.
 
     Rows skipped while parsing (wrong column count, unparsable count or
     day) are counted in the report's dropped_* field of their file.
     """
     d = Path(wiki_dir)
     report = BuildReport()
-    pages = [(t, f) for t, f in _read_tsv(d / "pages.tsv", 2, report,
-                                          "dropped_pages")]
-    anchors = []
-    for a, t, n in _read_tsv(d / "anchors.tsv", 3, report, "dropped_anchors"):
-        try:
-            anchors.append((a, t, int(n)))
-        except ValueError:
-            log.warning("bad anchor count: %r", n)
-            report.dropped_anchors += 1
-    links = [(s, t) for s, t in _read_tsv(d / "links.tsv", 2, report,
-                                          "dropped_links")]
-    revisions = []
-    with open(d / "revisions.jsonl", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                try:
-                    revisions.append(json.loads(line))
-                except json.JSONDecodeError:
-                    revisions.append({})
-    pageviews = []
-    for t, day, n in _read_tsv(d / "pageviews.tsv", 3, report,
-                               "dropped_pageviews"):
-        try:
-            pageviews.append((t, date.fromisoformat(day), int(n)))
-        except ValueError:
-            log.warning("bad pageview row: %r %r", day, n)
-            report.dropped_pageviews += 1
-    return build_snapshot(pages, anchors, links, revisions, pageviews, report)
+    anchors = _parse_tsv(d / "anchors.tsv", 3,
+                         lambda r: (r[0], r[1], int(r[2])),
+                         report, "dropped_anchors")
+    pageviews = _parse_tsv(d / "pageviews.tsv", 3,
+                           lambda r: (r[0], date.fromisoformat(r[1]), int(r[2])),
+                           report, "dropped_pageviews")
+    return build_snapshot(_read_tsv(d / "pages.tsv", 2, report, "dropped_pages"),
+                          anchors,
+                          _read_tsv(d / "links.tsv", 2, report, "dropped_links"),
+                          iter_jsonl(d / "revisions.jsonl"), pageviews, report)
 
 
 def link_prior(snapshot: WikiSnapshot, mention: str) -> dict[str, float]:

@@ -97,13 +97,9 @@ class TestAnnotate:
         assert [a.hashtag for a in annotations] == ["sochi2014"]
         assert annotations[0].entities[0].title == TARGET
 
-    def test_snapshot_pickle_and_explicit_hashtag(self, datadir, tmp_path,
-                                                  capsys):
-        snap = tmp_path / "snapshot.pkl"
-        main(["ingest", "--wiki-dir", str(datadir / "wiki"), "--out", str(snap)])
-        capsys.readouterr()
+    def test_explicit_hashtag(self, datadir, capsys):
         assert main(["annotate", "--tweets", str(datadir / "tweets.jsonl"),
-                     "--snapshot", str(snap),
+                     "--wiki-dir", str(datadir / "wiki"),
                      "--hashtag", "#randomchat",
                      "--sample-size", "200"]) == 0
         obj = json.loads(capsys.readouterr().out.strip())
@@ -119,9 +115,18 @@ class TestAnnotate:
         annotations = read_annotations(out)
         assert len(annotations[0].entities) == 3
 
-    def test_requires_a_snapshot_source(self, datadir):
-        with pytest.raises(SystemExit):
-            main(["annotate", "--tweets", str(datadir / "tweets.jsonl")])
+    def test_requires_wiki_dir(self, datadir, tmp_path, capsys):
+        tweets = ["--tweets", str(datadir / "tweets.jsonl")]
+        for argv in (["annotate", *tweets], ["sweep", *tweets, "--sweep-w", "5"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2  # argparse usage error
+            assert "--wiki-dir" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as exc:  # the pickle loader is gone
+                main([*argv, "--wiki-dir", str(datadir / "wiki"),
+                      "--snapshot", str(tmp_path / "snapshot.pkl")])
+            assert exc.value.code == 2
+            assert "--snapshot" in capsys.readouterr().err
 
 
 class TestConfigRouting:
@@ -170,8 +175,11 @@ class TestConfigRouting:
         with pytest.raises(SystemExit, match="unknown config key"):
             self.build("--config", self.config_file(tmp_path, {key: 1}))
 
-    @pytest.mark.parametrize("values", [{"mu": 0}, {"k": "3"},
-                                        {"median_window_days": 60}])
+    @pytest.mark.parametrize("values", [
+        {"mu": 0}, {"k": "3"}, {"median_window_days": 60},
+        {"sample_size": -5}, {"sample_size": 0}, {"expansion_cap": -1},
+        {"shift_range": -1}, {"lambda": 2}, {"lambda": -0.1},
+        {"relevance_threshold": 3}, {"map_cutoff": 0}, {"sample_size": "5"}])
     def test_invalid_value_rejected(self, tmp_path, values):
         with pytest.raises(SystemExit, match="bad config"):
             self.build("--config", self.config_file(tmp_path, values))

@@ -88,6 +88,10 @@ class TestParseTimestamp:
         assert parse_timestamp(1391947200.0) == expected
         assert parse_timestamp("2014-02-09T12:00:00Z") == expected
         assert parse_timestamp("2014-02-09T12:00:00") == expected
+        # forms datetime.fromisoformat accepts only from Python 3.11 on
+        for ts in ("2014-02-09T12:00:00+0000", "2014-02-09T12:00:00.0Z",
+                   "2014-02-09T12:00:00.00000Z", "20140209T120000Z"):
+            assert parse_timestamp(ts) == expected
 
     @pytest.mark.parametrize("bad", [True, False, None, [1], "nonsense"])
     def test_bad_values_rejected(self, bad):
