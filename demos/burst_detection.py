@@ -47,8 +47,8 @@ def main():
     for tag in corpus.hashtags():
         series = hashtag_series(corpus, tag, corpus.start_day, corpus.end_day)
         p = outlier_series(series, config)
-        print(f"#{tag}: daily counts range {series.values.min():.0f}"
-              f"-{series.values.max():.0f}, max outlier fraction {p.max():.2f}")
+        print(f"#{tag}: daily counts range {series.min():.0f}"
+              f"-{series.max():.0f}, max outlier fraction {p.max():.2f}")
 
         bursts = detect_bursts(corpus, tag, config)
         if not bursts:
@@ -61,12 +61,13 @@ def main():
               f"({burst.window_days} days, {len(burst.tweet_ids)} tweets)")
 
         # sketch the series around the window
-        lo = series.index_of(burst.window_start)
-        hi = series.index_of(burst.window_end)
+        lo = (burst.window_start - corpus.start_day).days
+        hi = (burst.window_end - corpus.start_day).days
         for i in range(max(lo - 2, 0), min(hi + 3, len(series))):
             marker = " <- window" if lo <= i <= hi else ""
-            bar = "#" * int(series.values[i] / 4)
-            print(f"  {series.day_at(i)} {series.values[i]:4.0f} {bar}{marker}")
+            bar = "#" * int(series[i] / 4)
+            day = corpus.start_day + timedelta(days=i)
+            print(f"  {day} {series[i]:4.0f} {bar}{marker}")
         print()
 
 

@@ -12,8 +12,7 @@ Run with: python3 demos/influence_learning.py
 
 import numpy as np
 
-from trendtag import (InfluenceGraph, IPLConfig, component_walks, ipl,
-                      random_walk)
+from trendtag import InfluenceGraph, IPLConfig, ipl, random_walk
 
 
 def funnel_graph():
@@ -35,7 +34,7 @@ def main():
     f_c = np.array([0.02, 0.02, 0.02, 0.90, 0.02, 0.02])
 
     print("== Component walks ==")
-    r_m, r_c, r_t = component_walks(graph, f_m, f_c, f_t)
+    r_m, r_c, r_t = (random_walk(graph, f)[0] for f in (f_m, f_c, f_t))
     for name, r in (("r_m", r_m), ("r_c", r_c), ("r_t", r_t)):
         print(f"  {name} =", np.round(r, 4))
 

@@ -11,8 +11,8 @@ Run with: python3 demos/linking_and_similarity.py
 from collections import Counter
 from datetime import date
 
-from trendtag import (build_snapshot, context_similarity, link_prior,
-                      load_tweets, longest_match, mention_similarity,
+from trendtag import (build_snapshot, context_similarity, language_model,
+                      link_prior, load_tweets, longest_match, mention_similarity,
                       segment_hashtag, temporal_context, temporal_similarity,
                       tweet_tokens, view_series, BurstConfig, build_candidates,
                       detect_bursts, hashtag_series)
@@ -101,7 +101,7 @@ def main():
         print(f"  f_m({entity}) = {score:.4f}")
 
     print("\n== Context similarity f_c ==")
-    tweet_lm = candidates.sample_token_counts
+    tweet_lm = language_model(candidates.sample_token_counts)
     for entity in candidates.entities:
         added = temporal_context(snapshot, entity, burst.window_start,
                                  burst.window_end)
@@ -113,13 +113,13 @@ def main():
     print("\n== Temporal similarity f_t ==")
     ts_h = hashtag_series(corpus, "sochi2014", burst.window_start,
                           burst.window_end)
-    print(f"  hashtag series {[int(v) for v in ts_h.values]}")
+    print(f"  hashtag series {[int(v) for v in ts_h]}")
     for entity in candidates.entities:
         ts_e = view_series(snapshot, entity, burst.window_start,
                            burst.window_end)
-        ft = temporal_similarity(ts_h.values, ts_e.values)
+        ft = temporal_similarity(ts_h, ts_e)
         print(f"  f_t({entity}) = {ft:.4f}  "
-              f"(page views {[int(v) for v in ts_e.values]})")
+              f"(page views {[int(v) for v in ts_e]})")
 
 
 if __name__ == "__main__":

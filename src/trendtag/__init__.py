@@ -6,11 +6,11 @@ temporal similarities, and fuses the three with weights learned by an
 influence random walk.
 """
 
-from .corpus import (BurstConfig, HashtagBurst, TimeSeries, Tweet, TweetCorpus,
+from .corpus import (BurstConfig, HashtagBurst, Tweet, TweetCorpus,
                      detect_bursts, hashtag_series, load_tweets,
                      load_tweets_jsonl, outlier_fraction, outlier_series)
 from .influence import (InfluenceGraph, IPLConfig, IPLResult,
-                        build_influence_graph, component_walks, ipl,
+                        build_influence_graph, ipl,
                         milne_witten, project_simplex, random_walk)
 from .linking import (CandidateSet, build_candidates, longest_match,
                       segment_hashtag, tweet_tokens)
@@ -26,10 +26,10 @@ from .wiki import (WikiSnapshot, build_snapshot, link_prior, load_snapshot,
 __all__ = [
     "BurstConfig", "CandidateSet", "HashtagBurst", "InfluenceGraph",
     "IPLConfig", "IPLResult", "PipelineConfig", "RankedAnnotation",
-    "RankedEntity", "ShiftScaleMatch", "TimeSeries", "Tweet", "TweetCorpus",
+    "RankedEntity", "ShiftScaleMatch", "Tweet", "TweetCorpus",
     "WikiSnapshot", "annotate_hashtag", "best_shift_scale",
     "build_candidates", "build_influence_graph", "build_snapshot",
-    "component_walks", "context_similarity", "detect_bursts", "evaluate",
+    "context_similarity", "detect_bursts", "evaluate",
     "hashtag_series", "ipl", "language_model", "link_prior", "load_gold",
     "load_snapshot", "load_tweets", "load_tweets_jsonl", "longest_match",
     "mention_similarity", "milne_witten", "normalize_scores",

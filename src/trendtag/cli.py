@@ -7,7 +7,7 @@ import json
 import logging
 import pickle
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from .corpus import BurstConfig, load_tweets_jsonl
 from .influence import IPLConfig
@@ -128,13 +128,18 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _build_config(args)
+    try:
+        windows = [replace(config.burst, w=int(w))
+                   for w in args.sweep_w.split(",")]
+    except ValueError as exc:
+        raise SystemExit(f"bad config: {exc}") from exc
     corpus = _load_corpus(args)
     snapshot = load_snapshot(args.wiki_dir)
     gold = load_gold(args.gold) if args.gold else None
     hashtags = args.hashtag if args.hashtag else None
     sweep_report = {}
-    for w in [int(x) for x in args.sweep_w.split(",")]:
-        config.burst.w = w
+    for burst in windows:
+        config.burst = burst
         annotations = list(run_annotate(corpus, snapshot, config, hashtags))
         entry: dict = {
             "annotated": sum(1 for a in annotations if a.entities),
@@ -144,7 +149,7 @@ def cmd_sweep(args) -> int:
             entry["metrics"] = evaluate(annotations, gold,
                                         config.relevance_threshold,
                                         config.map_cutoff)["macro"]
-        sweep_report[str(w)] = entry
+        sweep_report[str(burst.w)] = entry
     text = json.dumps(sweep_report, sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -47,41 +47,13 @@ def timestamp_to_day(ts) -> date:
     return parse_timestamp(ts).date()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tweet:
     id: str
     day: date
     text: str
     user_id: str
     hashtags: tuple[str, ...]
-
-
-@dataclass
-class TimeSeries:
-    """Daily counts over consecutive days; missing days are stored as 0."""
-
-    start_day: date
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1 or len(self.values) < 1:
-            raise ValueError("time series must be a non-empty 1-d array")
-        if np.any(self.values < 0):
-            raise ValueError("time series values must be non-negative")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def end_day(self) -> date:
-        return self.start_day + timedelta(days=len(self.values) - 1)
-
-    def day_at(self, index: int) -> date:
-        return self.start_day + timedelta(days=index)
-
-    def index_of(self, day: date) -> int:
-        return (day - self.start_day).days
 
 
 @dataclass
@@ -197,8 +169,9 @@ def load_tweets_jsonl(path) -> tuple[TweetCorpus, IngestReport]:
 
 
 def hashtag_series(corpus: TweetCorpus, hashtag: str,
-                   start_day: date, end_day: date) -> TimeSeries:
-    """Daily tweet counts for a hashtag over an inclusive date range."""
+                   start_day: date, end_day: date) -> np.ndarray:
+    """Daily tweet counts for a hashtag over an inclusive date range, one
+    float per day from start_day; days without tweets are 0."""
     if end_day < start_day:
         raise ValueError("empty date range")
     n = (end_day - start_day).days + 1
@@ -207,10 +180,10 @@ def hashtag_series(corpus: TweetCorpus, hashtag: str,
         i = (tw.day - start_day).days
         if 0 <= i < n:
             values[i] += 1
-    return TimeSeries(start_day, values)
+    return values
 
 
-def outlier_fraction(series: TimeSeries, day_index: int,
+def outlier_fraction(values: np.ndarray, day_index: int,
                      config: BurstConfig | None = None) -> float:
     """Deviation of a day's count from its local median, |n_t - n_b| / max(n_b, n_min).
 
@@ -218,7 +191,6 @@ def outlier_fraction(series: TimeSeries, day_index: int,
     boundaries.
     """
     config = config or BurstConfig()
-    values = series.values
     if not 0 <= day_index < len(values):
         raise IndexError("day_index outside series")
     half = config.median_window_days // 2
@@ -229,10 +201,12 @@ def outlier_fraction(series: TimeSeries, day_index: int,
     return abs(n_t - n_b) / max(n_b, config.n_min)
 
 
-def outlier_series(series: TimeSeries, config: BurstConfig | None = None) -> np.ndarray:
+def outlier_series(values: np.ndarray,
+                   config: BurstConfig | None = None) -> np.ndarray:
+    """Outlier fraction of every day of a daily count series."""
     config = config or BurstConfig()
-    return np.array([outlier_fraction(series, i, config)
-                     for i in range(len(series))])
+    return np.array([outlier_fraction(values, i, config)
+                     for i in range(len(values))])
 
 
 def detect_bursts(corpus: TweetCorpus, hashtag: str,
@@ -249,10 +223,10 @@ def detect_bursts(corpus: TweetCorpus, hashtag: str,
     if corpus.start_day is None:
         return []
     series = hashtag_series(corpus, hashtag, corpus.start_day, corpus.end_day)
-    if series.values.sum() == 0:
+    if series.sum() == 0:
         return []
     if not force:
-        if float(np.var(series.values)) < config.variance_threshold:
+        if float(np.var(series)) < config.variance_threshold:
             return []
         if len(corpus.users_of(hashtag)) < config.min_users:
             return []
@@ -265,9 +239,10 @@ def detect_bursts(corpus: TweetCorpus, hashtag: str,
     n = len(series)
     if n >= w:
         start = min(max(start, 0), n - w)
-    window_start = series.day_at(start)
-    window_end = series.day_at(start + w - 1)
+    window_start = corpus.start_day + timedelta(days=start)
+    window_end = window_start + timedelta(days=w - 1)
     ids = sorted(t.id for t in corpus.tweets_with(hashtag)
                  if window_start <= t.day <= window_end)
     return [HashtagBurst(hashtag, window_start, window_end,
-                         series.day_at(peak), float(p[peak]), tuple(ids))]
+                         corpus.start_day + timedelta(days=peak),
+                         float(p[peak]), tuple(ids))]

@@ -111,15 +111,6 @@ def random_walk(graph: InfluenceGraph, s: np.ndarray,
     return r, False
 
 
-def component_walks(graph: InfluenceGraph, f_m: np.ndarray, f_c: np.ndarray,
-                    f_t: np.ndarray, tau: float = 0.85):
-    """Walks restarted from each normalized similarity component."""
-    r_m, _ = random_walk(graph, f_m, tau)
-    r_c, _ = random_walk(graph, f_c, tau)
-    r_t, _ = random_walk(graph, f_t, tau)
-    return r_m, r_c, r_t
-
-
 def project_simplex(v) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based)."""
     v = np.asarray(v, dtype=float)
@@ -142,6 +133,8 @@ class IPLConfig:
     def __post_init__(self):
         if self.k < 1 or self.mu <= 0 or self.epsilon <= 0:
             raise ValueError("k must be >= 1 and mu, epsilon positive")
+        if not 0 <= self.tau < 1:
+            raise ValueError("tau must be in [0, 1)")
 
 
 @dataclass
@@ -194,8 +187,8 @@ def ipl(f_m, f_c, f_t, graph: InfluenceGraph,
     for col in range(3):
         if not math.isclose(components[:, col].sum(), 1.0, abs_tol=1e-9):
             raise ValueError("each similarity component must be normalized to sum 1")
-    walks = np.column_stack(component_walks(
-        graph, components[:, 0], components[:, 1], components[:, 2], config.tau))
+    walks = np.column_stack([random_walk(graph, components[:, col], config.tau)[0]
+                             for col in range(3)])
 
     # integer ranks of the entity ids: the same tie order, cheaper to sort
     rank = np.empty(graph.size, dtype=np.int64)

@@ -14,8 +14,9 @@ import numpy as np
 from .corpus import BurstConfig, HashtagBurst, TweetCorpus, detect_bursts, hashtag_series
 from .influence import IPLConfig, build_influence_graph, ipl
 from .linking import CandidateSet, build_candidates
-from .similarity import (context_similarity, mention_similarity,
-                         normalize_scores, temporal_similarity)
+from .similarity import (context_similarity, language_model,
+                         mention_similarity, normalize_scores,
+                         temporal_similarity)
 from .textutil import tokenize
 from .wiki import WikiSnapshot, temporal_context, view_series
 
@@ -102,34 +103,35 @@ class RankedAnnotation:
         )
 
 
-def _component_or_uniform(raw: dict[str, float], entities: list[str]) -> np.ndarray:
+def _component_or_uniform(raw: np.ndarray) -> np.ndarray:
     """Normalize a raw component over the candidates; an all-zero component
     falls back to uniform so the fused teleport vector stays a distribution."""
-    vec = np.array([raw.get(e, 0.0) for e in entities])
-    if vec.sum() <= 0:
-        return np.full(len(entities), 1.0 / len(entities))
-    return normalize_scores(vec)
+    if raw.sum() <= 0:
+        return np.full(len(raw), 1.0 / len(raw))
+    return normalize_scores(raw)
 
 
 def similarity_components(burst: HashtagBurst, candidates: CandidateSet,
                           corpus: TweetCorpus, snapshot: WikiSnapshot,
-                          config: PipelineConfig):
-    """Raw per-entity f_m, f_c, f_t for a burst's candidate set."""
+                          config: PipelineConfig) -> np.ndarray:
+    """Raw f_m, f_c, f_t of a burst's candidates as an n x 3 array. Row i
+    is candidates.entities[i]: the sorted candidate titles, which are also
+    the influence graph's nodes."""
     entities = candidates.entities
     f_m = mention_similarity(candidates, snapshot)
-    ts_h = hashtag_series(corpus, burst.hashtag, burst.window_start,
-                          burst.window_end)
-    f_c: dict[str, float] = {}
-    views = []
+    p_hashtag = language_model(candidates.sample_token_counts)
+    counts = hashtag_series(corpus, burst.hashtag, burst.window_start,
+                            burst.window_end)
+    f_c, views = [], []
     for e in entities:
         ctx = temporal_context(snapshot, e, burst.window_start, burst.window_end)
         background = snapshot.latest_text.get(e, "")
-        f_c[e] = context_similarity(ctx, Counter(tokenize(background)),
-                                    candidates.sample_token_counts, config.lam)
+        f_c.append(context_similarity(ctx, Counter(tokenize(background)),
+                                      p_hashtag, config.lam))
         views.append(view_series(snapshot, e, burst.window_start,
-                                 burst.window_end).values)
-    f_t = temporal_similarity(ts_h.values, np.array(views), config.shift_range)
-    return f_m, f_c, dict(zip(entities, f_t.tolist()))
+                                 burst.window_end))
+    f_t = temporal_similarity(counts, np.array(views), config.shift_range)
+    return np.column_stack([[f_m[e] for e in entities], f_c, f_t])
 
 
 def annotate_hashtag(corpus: TweetCorpus, snapshot: WikiSnapshot, hashtag: str,
@@ -153,27 +155,17 @@ def annotate_hashtag(corpus: TweetCorpus, snapshot: WikiSnapshot, hashtag: str,
     if candidates.is_empty():
         return RankedAnnotation(hashtag, burst.window_start, burst.window_end,
                                 None, [], reason="no-candidates")
-    entities = candidates.entities
-    raw_m, raw_c, raw_t = similarity_components(burst, candidates, corpus,
-                                                snapshot, config)
-    f_m = _component_or_uniform(raw_m, entities)
-    f_c = _component_or_uniform(raw_c, entities)
-    f_t = _component_or_uniform(raw_t, entities)
-    graph = build_influence_graph(entities, snapshot)
+    raw = similarity_components(burst, candidates, corpus, snapshot, config)
+    f_m, f_c, f_t = (_component_or_uniform(raw[:, j]) for j in range(3))
+    graph = build_influence_graph(candidates.entities, snapshot)
     result = ipl(f_m, f_c, f_t, graph, config.learner)
     index = {e: i for i, e in enumerate(graph.nodes)}
-    ranked = [
-        RankedEntity(
-            title=title,
-            r=score,
-            f=float(result.fused[index[title]]),
-            f_m=raw_m.get(title, 0.0),
-            f_c=raw_c.get(title, 0.0),
-            f_t=raw_t.get(title, 0.0),
-            provenance=candidates.provenance[title],
-        )
-        for title, score in result.ranking
-    ]
+    ranked = []
+    for title, score in result.ranking:
+        i = index[title]
+        ranked.append(RankedEntity(title, score, float(result.fused[i]),
+                                   *raw[i].tolist(),
+                                   candidates.provenance[title]))
     return RankedAnnotation(hashtag, burst.window_start, burst.window_end,
                             result.weights, ranked)
 

@@ -57,13 +57,15 @@ def language_model(counts: Counter) -> dict[str, float]:
 
 
 def context_similarity(temporal_counts: Counter, background_counts: Counter,
-                       hashtag_counts: Counter, lam: float = 0.9) -> float:
+                       p_hashtag: dict[str, float], lam: float = 0.9) -> float:
     """f_c = exp(-KL) between the entity's mixture model and the tweet model.
 
     The entity model mixes the temporal (revision-diff) and background
-    (current article) language models with weight lam. Both distributions
-    are renormalized over the common vocabulary; an empty common
-    vocabulary yields 0.
+    (current article) language models with weight lam. p_hashtag is the
+    tweet model, `language_model` of the burst sample's token counts; it
+    is the same for every candidate of a burst, so the caller builds it
+    once. Both distributions are renormalized over the common vocabulary;
+    an empty common vocabulary yields 0.
     """
     if not 0 <= lam <= 1:
         raise ValueError("lam must be in [0, 1]")
@@ -74,7 +76,6 @@ def context_similarity(temporal_counts: Counter, background_counts: Counter,
         p = lam * p_temporal.get(w, 0.0) + (1 - lam) * p_background.get(w, 0.0)
         if p > 0:
             mixture[w] = p
-    p_hashtag = language_model(hashtag_counts)
     # sorted, so the float sums do not follow the process's string hashes
     common = sorted(set(mixture) & set(p_hashtag))
     if not common:

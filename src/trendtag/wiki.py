@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import TimeSeries, iter_jsonl, parse_timestamp
+from .corpus import iter_jsonl, parse_timestamp
 from .textutil import normalize_surface, tokenize
 
 log = logging.getLogger(__name__)
@@ -323,8 +323,9 @@ def temporal_context(snapshot: WikiSnapshot, entity: str,
 
 
 def view_series(snapshot: WikiSnapshot, entity: str,
-                start_day: date, end_day: date) -> TimeSeries:
-    """Daily page views over the period; missing days are 0."""
+                start_day: date, end_day: date) -> np.ndarray:
+    """Daily page views over the period, one float per day from start_day;
+    missing days are 0."""
     if end_day < start_day:
         raise ValueError("empty period")
     per = snapshot.pageviews.get(entity, {})
@@ -332,4 +333,4 @@ def view_series(snapshot: WikiSnapshot, entity: str,
     values = np.zeros(n)
     for i in range(n):
         values[i] = per.get(start_day + timedelta(days=i), 0)
-    return TimeSeries(start_day, values)
+    return values

@@ -9,25 +9,26 @@ import functools
 import itertools
 import random
 import time
+from datetime import timedelta
 
 import numpy as np
 import pytest
 
 from trendtag.corpus import detect_bursts, hashtag_series, outlier_series
-from trendtag.influence import (InfluenceGraph, build_influence_graph,
-                                component_walks, ipl, milne_witten,
-                                random_walk, top_k_indices)
+from trendtag.influence import (InfluenceGraph, build_influence_graph, ipl,
+                                milne_witten, random_walk, top_k_indices)
 from trendtag.linking import build_candidates, longest_match
 from trendtag.pipeline import (annotate_hashtag, average_precision,
                                precision_at, run_annotate, similarity_components,
                                write_annotations, _component_or_uniform)
-from trendtag.similarity import (best_shift_scale, context_similarity, shifted,
+from trendtag.similarity import (best_shift_scale, context_similarity,
+                                 language_model, shifted,
                                  temporal_similarity)
 from trendtag.wiki import build_snapshot
 
 from test_corpus import corpus_from_series, spike_config
 from test_influence import (frozen_loss, random_distribution, random_graph,
-                            random_simplex)
+                            random_simplex, walk_columns)
 from test_linking import brute_force_match
 from test_pipeline import reference_ap, world_config
 from test_similarity import grid_best_delta
@@ -78,8 +79,7 @@ def test_gradient_matches_finite_differences():
         graph = random_graph(rng, n)
         components = np.column_stack(
             [random_distribution(rng, n) for _ in range(3)])
-        walks = np.column_stack(component_walks(
-            graph, components[:, 0], components[:, 1], components[:, 2]))
+        walks = walk_columns(graph, *components.T)
         omega = random_simplex(rng)
         scores = walks @ omega
         top = top_k_indices(scores, graph.nodes, min(5, n))
@@ -184,9 +184,9 @@ def test_relatedness_formula():
 @criterion(7, "context similarity identity and worked divergence case")
 def test_context_similarity_cases():
     tokens = Counter({"a": 4, "b": 1})
-    assert context_similarity(tokens, tokens, tokens) == 1.0
+    assert context_similarity(tokens, tokens, language_model(tokens)) == 1.0
     fc = context_similarity(Counter({"a": 8, "b": 2}), Counter({"a": 8, "b": 2}),
-                            Counter({"a": 5, "b": 5}))
+                            language_model(Counter({"a": 5, "b": 5})))
     assert fc == pytest.approx(0.8247, abs=1e-4)
 
 
@@ -208,9 +208,8 @@ def test_end_to_end_fixture():
     candidates = build_candidates(burst, corpus, snapshot, config.sample_size,
                                   config.expansion_cap, config.seed)
     raw = similarity_components(burst, candidates, corpus, snapshot, config)
-    entities = candidates.entities
-    f_m, f_c, f_t = (_component_or_uniform(r, entities) for r in raw)
-    graph = build_influence_graph(entities, snapshot)
+    f_m, f_c, f_t = (_component_or_uniform(raw[:, j]) for j in range(3))
+    graph = build_influence_graph(candidates.entities, snapshot)
     result = ipl(f_m, f_c, f_t, graph, config.learner)
     assert result.ranking[0][0] == TARGET
     for prev, cur in zip(result.history, result.history[1:]):
@@ -228,7 +227,7 @@ def test_burst_detection():
     series = hashtag_series(corpus, "tag", corpus.start_day, corpus.end_day)
     p = outlier_series(series, config)
     brute = max(range(len(p)), key=lambda i: (p[i], -i))
-    assert burst.peak_day == series.day_at(brute)
+    assert burst.peak_day == corpus.start_day + timedelta(days=brute)
 
     flat = corpus_from_series([3] * 20, users_per_day=3)
     assert detect_bursts(flat, "tag", spike_config()) == []

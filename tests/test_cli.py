@@ -179,7 +179,8 @@ class TestConfigRouting:
         {"mu": 0}, {"k": "3"}, {"median_window_days": 60},
         {"sample_size": -5}, {"sample_size": 0}, {"expansion_cap": -1},
         {"shift_range": -1}, {"lambda": 2}, {"lambda": -0.1},
-        {"relevance_threshold": 3}, {"map_cutoff": 0}, {"sample_size": "5"}])
+        {"relevance_threshold": 3}, {"map_cutoff": 0}, {"sample_size": "5"},
+        {"tau": 1.5}, {"tau": -0.5}, {"tau": 1}])
     def test_invalid_value_rejected(self, tmp_path, values):
         with pytest.raises(SystemExit, match="bad config"):
             self.build("--config", self.config_file(tmp_path, values))
@@ -223,3 +224,10 @@ class TestSweep:
         for entry in report.values():
             assert entry["annotated"] == 1
             assert "metrics" in entry
+
+    def test_invalid_window_rejected(self, datadir, tmp_path):
+        with pytest.raises(SystemExit, match="bad config"):
+            main(["sweep", "--tweets", str(datadir / "tweets.jsonl"),
+                  "--wiki-dir", str(datadir / "wiki"),
+                  "--sweep-w", "5,0", "--out", str(tmp_path / "sweep.json")])
+        assert not (tmp_path / "sweep.json").exists()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trendtag.corpus import (BurstConfig, TimeSeries, detect_bursts,
+from trendtag.corpus import (BurstConfig, detect_bursts,
                              extract_hashtags, hashtag_series, load_tweets,
                              outlier_fraction, outlier_series,
                              parse_timestamp, timestamp_to_day)
@@ -107,17 +107,17 @@ class TestHashtagSeries:
     def test_direct_count(self):
         corpus = corpus_from_series([5, 0, 2])
         series = hashtag_series(corpus, "tag", DAY0, date(2014, 2, 3))
-        assert list(series.values) == [5, 0, 2]
+        assert list(series) == [5, 0, 2]
 
     def test_unknown_hashtag_all_zero(self):
         corpus = corpus_from_series([1, 1, 1])
         series = hashtag_series(corpus, "nope", DAY0, date(2014, 2, 3))
-        assert list(series.values) == [0, 0, 0]
+        assert list(series) == [0, 0, 0]
 
     def test_single_day_range(self):
         corpus = corpus_from_series([3])
         series = hashtag_series(corpus, "tag", DAY0, DAY0)
-        assert len(series) == 1 and series.values[0] == 3
+        assert len(series) == 1 and series[0] == 3
 
     @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1,
                     max_size=25))
@@ -126,25 +126,25 @@ class TestHashtagSeries:
         corpus = corpus_from_series(counts)
         series = hashtag_series(corpus, "tag", DAY0,
                                 DAY0 + timedelta(days=len(counts) - 1))
-        assert series.values.sum() == len(corpus.tweets_with("tag"))
+        assert series.sum() == len(corpus.tweets_with("tag"))
 
 
 class TestOutlierFraction:
     def test_hand_example(self):
         # median of the window is 10, n_t = 100 -> |100-10|/max(10,10) = 9
-        series = TimeSeries(DAY0, [10] * 30 + [100] + [10] * 30)
+        series = np.array([10.0] * 30 + [100.0] + [10.0] * 30)
         assert outlier_fraction(series, 30) == pytest.approx(9.0)
 
     def test_no_deviation(self):
-        series = TimeSeries(DAY0, [7.0] * 10)
+        series = np.full(10, 7.0)
         assert outlier_fraction(series, 4) == 0.0
 
     def test_floor_engages_when_median_zero(self):
-        series = TimeSeries(DAY0, [0] * 40 + [40] + [0] * 40)
+        series = np.array([0.0] * 40 + [40.0] + [0.0] * 40)
         assert outlier_fraction(series, 40) == pytest.approx(4.0)
 
     def test_window_clipped_at_boundary(self):
-        series = TimeSeries(DAY0, [2, 2, 50])
+        series = np.array([2.0, 2.0, 50.0])
         # clipped window is the whole series; median 2
         assert outlier_fraction(series, 2) == pytest.approx(48 / 10)
 
@@ -153,8 +153,8 @@ class TestOutlierFraction:
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_peak_count(self, n_t, bump):
         base = [10.0] * 61
-        a = TimeSeries(DAY0, base[:30] + [float(n_t)] + base[31:])
-        b = TimeSeries(DAY0, base[:30] + [float(n_t + bump)] + base[31:])
+        a = np.array(base[:30] + [float(n_t)] + base[31:])
+        b = np.array(base[:30] + [float(n_t + bump)] + base[31:])
         assert outlier_fraction(b, 30) >= outlier_fraction(a, 30)
 
 
@@ -179,7 +179,7 @@ class TestDetectBursts:
         burst = bursts[0]
         series = hashtag_series(corpus, "tag", corpus.start_day, corpus.end_day)
         brute_peak = int(np.argmax(outlier_series(series, config)))
-        assert burst.peak_day == series.day_at(brute_peak)
+        assert burst.peak_day == DAY0 + timedelta(days=brute_peak)
         assert burst.window_days == config.w
         assert burst.window_start <= burst.peak_day <= burst.window_end
 
@@ -232,7 +232,7 @@ class TestDetectBursts:
         series = hashtag_series(corpus, "tag", corpus.start_day, corpus.end_day)
         p = outlier_series(series, config)
         best = max(range(len(p)), key=lambda i: (p[i], -i))
-        assert bursts[0].peak_day == series.day_at(best)
+        assert bursts[0].peak_day == DAY0 + timedelta(days=best)
         assert bursts[0].window_start <= bursts[0].peak_day <= bursts[0].window_end
 
 
@@ -240,7 +240,3 @@ class TestValidation:
     def test_even_median_window_rejected(self):
         with pytest.raises(ValueError):
             BurstConfig(median_window_days=60)
-
-    def test_negative_series_rejected(self):
-        with pytest.raises(ValueError):
-            TimeSeries(DAY0, [1, -1])

@@ -9,8 +9,8 @@ import pytest
 
 import trendtag.influence as influence
 from trendtag.influence import (InfluenceGraph, IPLConfig, build_influence_graph,
-                                component_walks, ipl, milne_witten,
-                                project_simplex, random_walk, top_k_indices)
+                                ipl, milne_witten, project_simplex, random_walk,
+                                top_k_indices)
 from trendtag.wiki import build_snapshot
 
 
@@ -54,6 +54,11 @@ def random_simplex(rng, n=3):
 def random_distribution(rng, n):
     v = np.array([rng.random() + 1e-3 for _ in range(n)])
     return v / v.sum()
+
+
+def walk_columns(graph, f_m, f_c, f_t):
+    """The walks ipl() runs, one restarted from each component, as columns."""
+    return np.column_stack([random_walk(graph, f)[0] for f in (f_m, f_c, f_t)])
 
 
 class TestMilneWitten:
@@ -212,26 +217,6 @@ class TestRandomWalk:
             assert np.max(np.abs(mixed - combo)) < 1e-8
 
 
-class TestComponentWalks:
-    def test_equal_inputs_equal_walks(self):
-        rng = random.Random(11)
-        graph = random_graph(rng, 8)
-        f = random_distribution(rng, 8)
-        rm, rc, rt = component_walks(graph, f, f, f)
-        assert rm == pytest.approx(rc)
-        assert rc == pytest.approx(rt)
-
-    def test_simplex_corner_matches_component(self):
-        rng = random.Random(13)
-        graph = random_graph(rng, 10)
-        fm = random_distribution(rng, 10)
-        fc = random_distribution(rng, 10)
-        ft = random_distribution(rng, 10)
-        rm, _, _ = component_walks(graph, fm, fc, ft)
-        corner, _ = random_walk(graph, fm)
-        assert corner == pytest.approx(rm, abs=1e-10)
-
-
 class TestProjectSimplex:
     def projection_oracle(self, v):
         """Bisection on the threshold; independent of the sort-based path."""
@@ -281,8 +266,7 @@ class TestGradient:
             graph = random_graph(rng, n)
             components = np.column_stack(
                 [random_distribution(rng, n) for _ in range(3)])
-            walks = np.column_stack(component_walks(
-                graph, components[:, 0], components[:, 1], components[:, 2]))
+            walks = walk_columns(graph, *components.T)
             omega = random_simplex(rng)
             scores = walks @ omega
             top = top_k_indices(scores, graph.nodes, min(5, n))
@@ -359,7 +343,7 @@ class TestIPL:
     def test_grid_search_confirms_temporal_optimum(self):
         graph, fm, fc, ft = funnel_graph_and_components()
         components = np.column_stack([fm, fc, ft])
-        walks = np.column_stack(component_walks(graph, fm, fc, ft))
+        walks = walk_columns(graph, fm, fc, ft)
         best, best_loss = None, None
         for a in np.arange(0, 1.0001, 0.01):
             for b in np.arange(0, 1.0001 - a, 0.01):
@@ -431,7 +415,7 @@ class TestIPL:
             assert result.iterations == config.max_iterations
         omega = np.array(result.weights)
         components = np.column_stack([fm, fc, ft])
-        walks = np.column_stack(component_walks(graph, fm, fc, ft))
+        walks = walk_columns(graph, fm, fc, ft)
         np.testing.assert_allclose(components @ omega, result.fused,
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(walks @ omega, result.scores,

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import trendtag
 import trendtag.pipeline as pipeline
 from trendtag.corpus import detect_bursts
 from trendtag.influence import build_influence_graph, random_walk, top_k_indices
@@ -18,7 +19,7 @@ from trendtag.pipeline import (PipelineConfig, RankedAnnotation, RankedEntity,
                                precision_at, run_annotate, similarity_components,
                                trending_hashtags, write_annotations,
                                read_annotations)
-from trendtag.similarity import normalize_scores
+from trendtag.similarity import mention_similarity, normalize_scores
 from world import CITY, TARGET, gold_labels
 
 
@@ -109,6 +110,11 @@ def world_config(**kw):
     return config
 
 
+def test_every_exported_name_resolves():
+    assert [name for name in trendtag.__all__
+            if not hasattr(trendtag, name)] == []
+
+
 class TestAnnotateHashtag:
     def test_engineered_entity_ranks_first(self, world_corpus, world_snapshot):
         ann = annotate_hashtag(world_corpus, world_snapshot, "sochi2014",
@@ -118,6 +124,25 @@ class TestAnnotateHashtag:
         assert sum(ann.weights) == pytest.approx(1.0, abs=1e-9)
         titles = [e.title for e in ann.entities]
         assert CITY in titles
+
+    def test_component_rows_follow_graph_nodes(self, world_corpus,
+                                               world_snapshot):
+        config = world_config(sample_size=800)
+        burst = detect_bursts(world_corpus, "sochi2014", config.burst)[0]
+        candidates = build_candidates(burst, world_corpus, world_snapshot,
+                                      config.sample_size,
+                                      config.expansion_cap, config.seed)
+        raw = similarity_components(burst, candidates, world_corpus,
+                                    world_snapshot, config)
+        graph = build_influence_graph(candidates.entities, world_snapshot)
+        f_m = mention_similarity(candidates, world_snapshot)
+        assert raw.shape == (graph.size, 3)
+        assert len(set(f_m.values())) > 2  # a permuted row order would show
+        assert raw[:, 0].tolist() == [f_m[title] for title in graph.nodes]
+        ann = annotate_hashtag(world_corpus, world_snapshot, "sochi2014",
+                               config)
+        assert [e.f_m for e in ann.entities] == \
+            [f_m[e.title] for e in ann.entities]
 
     def test_not_trending_reason(self, world_corpus, world_snapshot):
         ann = annotate_hashtag(world_corpus, world_snapshot, "randomchat",
@@ -175,11 +200,11 @@ class TestRankingQuality:
         candidates = build_candidates(burst, corpus, snapshot,
                                       config.sample_size,
                                       config.expansion_cap, config.seed)
-        raw_m, raw_c, _ = similarity_components(burst, candidates, corpus,
-                                                snapshot, config)
+        raw = similarity_components(burst, candidates, corpus, snapshot,
+                                    config)
         graph = build_influence_graph(candidates.entities, snapshot)
-        f_m = normalize_scores([raw_m[e] for e in graph.nodes])
-        f_c = normalize_scores([raw_c[e] for e in graph.nodes])
+        f_m = normalize_scores(raw[:, 0])
+        f_c = normalize_scores(raw[:, 1])
         r, _ = random_walk(graph, 0.5 * f_m + 0.5 * f_c, config.learner.tau)
         return [graph.nodes[i]
                 for i in top_k_indices(r, graph.nodes, config.learner.k)]

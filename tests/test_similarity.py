@@ -103,30 +103,30 @@ class TestLanguageModel:
 class TestContextSimilarity:
     def test_identity_gives_one(self):
         tokens = Counter({"a": 4, "b": 1})
-        assert context_similarity(tokens, tokens, tokens) == pytest.approx(1.0)
+        assert context_similarity(tokens, tokens, language_model(tokens)) == pytest.approx(1.0)
 
     def test_empty_temporal_with_lambda_one(self):
-        fc = context_similarity(Counter(), Counter({"a": 2}), Counter({"a": 2}),
-                                lam=1.0)
+        fc = context_similarity(Counter(), Counter({"a": 2}),
+                                language_model(Counter({"a": 2})), lam=1.0)
         assert fc == 0.0
 
     def test_worked_kl_example(self):
         # common vocabulary {a, b}; entity (0.8, 0.2) vs hashtag (0.5, 0.5)
         fc = context_similarity(Counter({"a": 8, "b": 2}),
                                 Counter({"a": 8, "b": 2}),
-                                Counter({"a": 5, "b": 5}))
+                                language_model(Counter({"a": 5, "b": 5})))
         kl = 0.8 * math.log(1.6) + 0.2 * math.log(0.4)
         assert fc == pytest.approx(math.exp(-kl))
         assert fc == pytest.approx(0.8247, abs=1e-4)
 
     def test_disjoint_vocabulary_gives_zero(self):
         assert context_similarity(Counter({"a": 1}), Counter({"a": 1}),
-                                  Counter({"z": 1})) == 0.0
+                                  language_model(Counter({"z": 1}))) == 0.0
 
     def test_mixture_weight_matters(self):
         temporal = Counter({"match": 10})
         background = Counter({"other": 10, "match": 1})
-        hashtag = Counter({"match": 10})
+        hashtag = language_model(Counter({"match": 10}))
         high = context_similarity(temporal, background, hashtag, lam=0.9)
         low = context_similarity(temporal, background, hashtag, lam=0.1)
         assert high >= low
@@ -139,7 +139,8 @@ class TestContextSimilarity:
     @settings(max_examples=80, deadline=None)
     def test_bounded_zero_one(self, entity_counts, hashtag_counts, lam):
         fc = context_similarity(Counter(entity_counts), Counter(entity_counts),
-                                Counter(hashtag_counts), lam=lam)
+                                language_model(Counter(hashtag_counts)),
+                                lam=lam)
         assert 0.0 <= fc <= 1.0 + 1e-12
 
 

@@ -170,16 +170,16 @@ class TestTemporalContext:
 class TestViewSeries:
     def test_gap_fill(self, small):
         series = view_series(small, "Sochi", date(2014, 2, 1), date(2014, 2, 3))
-        assert list(series.values) == [10, 0, 5]
+        assert list(series) == [10, 0, 5]
 
     def test_redirect_views_folded_additively(self, small):
         series = view_series(small, "2014 Winter Olympics",
                              date(2014, 2, 1), date(2014, 2, 1))
-        assert series.values[0] == 10  # 6 direct + 4 via "Sochi 2014"
+        assert series[0] == 10  # 6 direct + 4 via "Sochi 2014"
 
     def test_absent_entity_all_zero(self, small):
         series = view_series(small, "Russia", date(2014, 2, 1), date(2014, 2, 4))
-        assert list(series.values) == [0, 0, 0, 0]
+        assert list(series) == [0, 0, 0, 0]
 
     def test_length_always_matches_period(self, small):
         for days in (1, 5, 28):
