@@ -23,7 +23,7 @@ def funnel_graph():
         other = (col % 5) + 1
         matrix[other if other != col else 1, col] = 0.2
     dangling = np.array([True] + [False] * 5)     # f0 keeps nothing
-    return InfluenceGraph(nodes, matrix, dangling)
+    return InfluenceGraph.from_matrix(nodes, matrix, dangling)
 
 
 def main():

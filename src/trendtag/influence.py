@@ -3,8 +3,10 @@ iterative influence-prominence weight learner.
 
 The per-hashtag influence graph inverts Wikipedia link directions (a link
 endorses its source), weights edges by in-link relatedness, and drives a
-damped random walk restarted from the fused similarity scores. The
-learner alternates walk scoring with projected gradient steps on the
+damped random walk restarted from the fused similarity scores. The graph
+is held as edge arrays (source, target, weight), not as a dense matrix:
+it is very sparse, and each walk step is one np.bincount over the edges.
+The learner alternates walk scoring with projected gradient steps on the
 fusion weights.
 """
 
@@ -43,45 +45,91 @@ def milne_witten(e1: str, e2: str, snapshot: WikiSnapshot) -> float:
 
 @dataclass
 class InfluenceGraph:
-    """Candidate entities with a column-stochastic influence transition matrix.
+    """Candidate entities with a column-stochastic influence transition,
+    held as edge arrays.
 
-    Column i holds the out-distribution of node i; mass flows along
-    inverted Wikipedia links (from a link's target entity back to its
-    source entity). Columns with no outgoing relatedness mass are dangling.
+    Edge k sends the share weight[k] of node src[k]'s mass to node dst[k];
+    mass flows along inverted Wikipedia links (from a link's target entity
+    back to its source entity). The weights leaving each node sum to 1,
+    except at dangling nodes, which have no outgoing relatedness mass and
+    no edges. The dense matrix, column i holding node i's out-distribution,
+    is built only on request.
     """
 
     nodes: tuple[str, ...]
-    matrix: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
     dangling: np.ndarray
 
     @property
     def size(self) -> int:
         return len(self.nodes)
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense transition matrix: entry (dst, src) is the edge weight."""
+        dense = np.zeros((self.size, self.size))
+        dense[self.dst, self.src] = self.weight
+        return dense
+
+    @classmethod
+    def from_matrix(cls, nodes, matrix, dangling) -> InfluenceGraph:
+        """The graph of a dense column-stochastic matrix over nodes.
+
+        Every column must sum to 1, except dangling ones, which must be
+        all zero; no entry may be negative.
+        """
+        nodes = tuple(nodes)
+        matrix = np.asarray(matrix, dtype=float)
+        dangling = np.asarray(dangling, dtype=bool)
+        n = len(nodes)
+        if matrix.shape != (n, n) or dangling.shape != (n,):
+            raise ValueError("matrix must be square and dangling a flag per node")
+        if np.any(matrix < 0):
+            raise ValueError("matrix entries must be non-negative")
+        if np.any(matrix[:, dangling] != 0):
+            raise ValueError("dangling columns must be all zero")
+        sums = matrix[:, ~dangling].sum(axis=0)
+        if not np.allclose(sums, 1.0, rtol=0, atol=1e-9):
+            raise ValueError("non-dangling columns must sum to 1")
+        src, dst = np.nonzero(matrix.T)
+        return cls(nodes, src, dst, matrix[dst, src], dangling)
+
 
 def build_influence_graph(entities, snapshot: WikiSnapshot) -> InfluenceGraph:
     """Restrict the inverted link graph to the candidates and weight it.
 
-    A Wikipedia link a -> b becomes an influence edge b -> a, so column b
+    A Wikipedia link a -> b becomes an influence edge b -> a, so node b
     sends mass to a. Edge weights are pairwise relatedness, normalized per
-    column; zero-mass columns are marked dangling.
+    source node; nodes with no positive-weight edge are dangling. Edges
+    are ordered by source, then target, whatever the hash seed, so each
+    per-node sum adds its terms in one fixed order.
     """
     nodes = tuple(sorted(set(entities)))
     n = len(nodes)
     if n == 0:
         raise ValueError("candidate set is empty")
     idx = {e: i for i, e in enumerate(nodes)}
-    matrix = np.zeros((n, n))
+    src: list[int] = []
+    dst: list[int] = []
+    weight: list[float] = []
     for i, e in enumerate(nodes):
         # influence out-neighbors of e: candidates whose articles link to e
-        for src in snapshot.incoming(e):
-            j = idx.get(src)
+        for linker in sorted(snapshot.incoming(e)):
+            j = idx.get(linker)
             if j is not None and j != i:
-                matrix[j, i] = milne_witten(e, src, snapshot)
-    sums = matrix.sum(axis=0)
+                mw = milne_witten(e, linker, snapshot)
+                if mw > 0:
+                    src.append(i)
+                    dst.append(j)
+                    weight.append(mw)
+    src_a = np.array(src, dtype=np.intp)
+    weight_a = np.array(weight, dtype=float)
+    sums = np.bincount(src_a, weights=weight_a, minlength=n)
     dangling = sums <= 0
-    matrix[:, ~dangling] /= sums[~dangling]
-    return InfluenceGraph(nodes, matrix, dangling)
+    return InfluenceGraph(nodes, src_a, np.array(dst, dtype=np.intp),
+                          weight_a / sums[src_a], dangling)
 
 
 def random_walk(graph: InfluenceGraph, s: np.ndarray,
@@ -91,20 +139,25 @@ def random_walk(graph: InfluenceGraph, s: np.ndarray,
 
     Uniform (rather than s-dependent) dangling completion keeps the walk an
     exactly linear function of the teleport vector, which the weight
-    learner's gradient relies on. Power iteration stops once an update
-    moves r by less than WALK_TOL in L1. Returns the score vector and a
-    convergence flag; after WALK_MAX_ITER updates the last iterate is
-    returned with the flag False.
+    learner's gradient relies on. Each power-iteration step scatters
+    weight * r[src] onto dst over the edge arrays and spreads the dangling
+    mass uniformly; iteration stops once an update moves r by less than
+    WALK_TOL in L1. Returns the score vector and a convergence flag; after
+    WALK_MAX_ITER updates the last iterate is returned with the flag False.
     """
     s = np.asarray(s, dtype=float)
+    n = graph.size
+    if s.shape != (n,):
+        raise ValueError("teleport vector must have one entry per node")
     if np.any(s < 0) or not math.isclose(s.sum(), 1.0, abs_tol=1e-9):
         raise ValueError("teleport vector must be a probability distribution")
     if not 0 <= tau < 1:
         raise ValueError("damping factor must be in [0, 1)")
-    n = graph.size
+    src, dst, weight, dangling = graph.src, graph.dst, graph.weight, graph.dangling
     r = s.copy()
     for _ in range(WALK_MAX_ITER):
-        nxt = tau * (graph.matrix @ r + r[graph.dangling].sum() / n) + (1 - tau) * s
+        spread = np.bincount(dst, weights=weight * r[src], minlength=n)
+        nxt = tau * (spread + r[dangling].sum() / n) + (1 - tau) * s
         if np.abs(nxt - r).sum() < WALK_TOL:
             return nxt, True
         r = nxt

@@ -9,6 +9,7 @@ neighbors.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from collections import Counter
@@ -50,13 +51,18 @@ def tweet_tokens(text: str, vocab=frozenset()) -> list[str]:
 
     Hashtags lose their '#' and their bodies are segmented against vocab.
     """
+    return _tokenize(text, functools.partial(segment_hashtag, vocab=vocab))
+
+
+def _tokenize(text: str, segment) -> list[str]:
+    """tweet_tokens with the hashtag segmenter passed in as segment(body)."""
     text = _URL_RE.sub(" ", text)
     text = _AT_MENTION_RE.sub(" ", text)
     text = _EMOTICON_RE.sub(" ", text)
     tokens: list[str] = []
     for raw in _TOKEN_RE.findall(text):
         if raw.startswith("#"):
-            tokens.extend(segment_hashtag(raw[1:], vocab))
+            tokens.extend(segment(raw[1:]))
         else:
             tokens.append(raw.lower())
     return tokens
@@ -148,9 +154,11 @@ def build_candidates(burst: HashtagBurst, corpus: TweetCorpus,
 
     vocab = snapshot.unigram_vocab
     first_words = snapshot.first_word_lengths
+    # every sampled tweet carries the burst's hashtag: segment each body once
+    segment = functools.cache(functools.partial(segment_hashtag, vocab=vocab))
     mentions: Counter = Counter()
     for tid in ids:
-        tokens = tweet_tokens(corpus.get(tid).text, vocab)
+        tokens = _tokenize(corpus.get(tid).text, segment)
         result.sample_token_counts.update(tokens)
         mentions.update(m for m, _ in longest_match(tokens, snapshot.lexicon,
                                                      first_words=first_words))

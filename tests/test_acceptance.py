@@ -138,7 +138,7 @@ def test_walk_correctness():
     # two nodes, one-way edge a -> b, dangling column completed uniformly
     matrix = np.array([[0.0, 0.0], [1.0, 0.0]])
     dangling = np.array([False, True])
-    graph = InfluenceGraph(("a", "b"), matrix, dangling)
+    graph = InfluenceGraph.from_matrix(("a", "b"), matrix, dangling)
     tau, s = 0.5, np.array([0.5, 0.5])
     complete = matrix + np.full((2, 1), 0.5) @ dangling.reshape(1, 2).astype(float)
     oracle = np.linalg.solve(np.eye(2) - tau * complete, (1 - tau) * s)

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trendtag.influence as influence
 from trendtag.influence import (InfluenceGraph, IPLConfig, build_influence_graph,
@@ -36,13 +38,14 @@ def random_graph(rng, n):
         dangling[0] = False
         matrix[(0 + 1) % n, 0] = 1.0
     nodes = tuple(f"e{i:03d}" for i in range(n))
-    return InfluenceGraph(nodes, matrix, dangling)
+    return InfluenceGraph.from_matrix(nodes, matrix, dangling)
 
 
 def all_dangling_graph(n):
     """n candidates with no relatedness mass: every column is dangling."""
     nodes = tuple(f"e{i:03d}" for i in range(n))
-    return InfluenceGraph(nodes, np.zeros((n, n)), np.ones(n, dtype=bool))
+    return InfluenceGraph.from_matrix(nodes, np.zeros((n, n)),
+                                      np.ones(n, dtype=bool))
 
 
 def random_simplex(rng, n=3):
@@ -145,13 +148,106 @@ class TestBuildInfluenceGraph:
             else:
                 assert sums[col] == pytest.approx(1.0, abs=1e-12)
 
+    def test_edges_ordered_positive_and_normalized(self):
+        entities = [f"n{k}" for k in range(12)]
+        rng = random.Random(2)
+        links = [(rng.choice(entities), rng.choice(entities)) for _ in range(60)]
+        graph = build_influence_graph(entities,
+                                      snapshot_from_links(entities, links))
+        pairs = list(zip(graph.src.tolist(), graph.dst.tolist()))
+        assert pairs and pairs == sorted(set(pairs))
+        assert all(s != d for s, d in pairs)
+        assert np.all(graph.weight > 0)
+        out_mass = np.bincount(graph.src, weights=graph.weight,
+                               minlength=graph.size)
+        np.testing.assert_allclose(out_mass[~graph.dangling], 1.0,
+                                   rtol=0, atol=1e-12)
+        assert np.all(out_mass[graph.dangling] == 0)
+
     def test_empty_candidates_rejected(self):
         snap = snapshot_from_links(["A"], [])
         with pytest.raises(ValueError):
             build_influence_graph([], snap)
 
 
+class TestFromMatrix:
+    def test_round_trip(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            graph = random_graph(rng, rng.randint(1, 20))
+            again = InfluenceGraph.from_matrix(graph.nodes, graph.matrix,
+                                               graph.dangling)
+            assert np.array_equal(again.matrix, graph.matrix)
+            assert np.array_equal(again.src, graph.src)
+            assert np.array_equal(again.dst, graph.dst)
+            assert np.array_equal(again.weight, graph.weight)
+
+    def test_edges_are_the_nonzero_entries(self):
+        matrix = np.array([[0.0, 0.25, 0.0],
+                           [0.0, 0.0, 0.0],
+                           [0.0, 0.75, 0.0]])
+        graph = InfluenceGraph.from_matrix("abc", matrix, [True, False, True])
+        assert graph.src.tolist() == [1, 1]
+        assert graph.dst.tolist() == [0, 2]
+        assert graph.weight.tolist() == [0.25, 0.75]
+        assert np.array_equal(graph.matrix, matrix)
+
+    @pytest.mark.parametrize("nodes, matrix, dangling", [
+        (("a", "b"), np.zeros((2, 3)), [True, True]),
+        (("a", "b", "c"), np.zeros((2, 2)), [True, True]),
+        (("a", "b"), np.zeros((2, 2)), [True]),
+        (("a", "b"), [[-0.5, 0.0], [1.5, 0.0]], [False, True]),
+        (("a", "b"), [[0.0, 0.0], [0.9, 0.0]], [False, True]),
+        (("a", "b"), [[0.0, 0.0], [0.0, 0.0]], [False, True]),
+        (("a", "b"), [[0.0, 0.5], [1.0, 0.0]], [False, True]),
+    ], ids=["not-square", "size-not-nodes", "flags-not-nodes", "negative",
+            "column-sums-0.9", "empty-live-column", "dangling-with-mass"])
+    def test_invalid_matrix_rejected(self, nodes, matrix, dangling):
+        with pytest.raises(ValueError):
+            InfluenceGraph.from_matrix(nodes, matrix, dangling)
+
+
+def dense_walk_oracle(graph, s, tau):
+    """Solve (I - tau*(B + D/n)) r = (1 - tau)*s, with D holding a column
+    of ones for every dangling node."""
+    n = graph.size
+    complete = graph.matrix + np.outer(np.ones(n), graph.dangling) / n
+    return np.linalg.solve(np.eye(n) - tau * complete, (1 - tau) * s)
+
+
+@st.composite
+def graphs_and_teleports(draw):
+    """A random graph over 1-12 nodes, with edgeless and all-dangling
+    graphs among the draws, and a teleport distribution over its nodes."""
+    n = draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    matrix = rng.uniform(0.05, 1.0, (n, n)) * (rng.random((n, n)) < density)
+    np.fill_diagonal(matrix, 0.0)
+    sums = matrix.sum(axis=0)
+    dangling = sums == 0
+    matrix[:, ~dangling] /= sums[~dangling]
+    s = rng.uniform(1e-3, 1.0, n)
+    nodes = tuple(f"e{i:03d}" for i in range(n))
+    return InfluenceGraph.from_matrix(nodes, matrix, dangling), s / s.sum()
+
+
 class TestRandomWalk:
+    @given(graphs_and_teleports(), st.sampled_from([0.0, 0.5, 0.85]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_linear_system(self, graph_and_s, tau):
+        graph, s = graph_and_s
+        r, converged = random_walk(graph, s, tau=tau)
+        assert converged
+        assert np.abs(r - dense_walk_oracle(graph, s, tau)).sum() < 1e-9
+
+    @pytest.mark.parametrize("length", [1, 3, 5])
+    def test_wrong_length_teleport_rejected(self, length):
+        # a length-1 vector would otherwise broadcast over all the nodes
+        graph = random_graph(random.Random(0), 4)
+        with pytest.raises(ValueError):
+            random_walk(graph, np.full(length, 1.0 / length))
+
     def test_tau_zero_returns_teleport(self):
         rng = random.Random(0)
         graph = random_graph(rng, 6)
@@ -162,7 +258,8 @@ class TestRandomWalk:
 
     def test_symmetric_cycle_fixed_point(self):
         matrix = np.array([[0.0, 1.0], [1.0, 0.0]])
-        graph = InfluenceGraph(("a", "b"), matrix, np.array([False, False]))
+        graph = InfluenceGraph.from_matrix(("a", "b"), matrix,
+                                           np.array([False, False]))
         r, _ = random_walk(graph, np.array([0.5, 0.5]), tau=0.85)
         assert r == pytest.approx([0.5, 0.5], abs=1e-9)
 
@@ -171,7 +268,7 @@ class TestRandomWalk:
         # tau = 0.5, s = (1/2, 1/2); direct linear solve is the oracle
         matrix = np.array([[0.0, 0.0], [1.0, 0.0]])
         dangling = np.array([False, True])
-        graph = InfluenceGraph(("a", "b"), matrix, dangling)
+        graph = InfluenceGraph.from_matrix(("a", "b"), matrix, dangling)
         tau, s = 0.5, np.array([0.5, 0.5])
         uniform = np.full((2, 1), 0.5)
         complete = matrix + uniform @ dangling.reshape(1, 2).astype(float)
@@ -294,7 +391,7 @@ def funnel_graph_and_components():
         matrix[0, col] = 0.8
         matrix[(col % 5) + 1 if (col % 5) + 1 != col else 1, col] = 0.2
     dangling = np.array([True] + [False] * 5)
-    graph = InfluenceGraph(nodes, matrix, dangling)
+    graph = InfluenceGraph.from_matrix(nodes, matrix, dangling)
     ft = np.array([0.75, 0.05, 0.05, 0.05, 0.05, 0.05])
     fm = np.array([0.02, 0.02, 0.9, 0.02, 0.02, 0.02])
     fc = np.array([0.02, 0.02, 0.02, 0.9, 0.02, 0.02])
@@ -312,7 +409,8 @@ class TestIPL:
         assert result.weights == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-9)
 
     def test_single_candidate_immediate_stop(self):
-        graph = InfluenceGraph(("only",), np.zeros((1, 1)), np.array([True]))
+        graph = InfluenceGraph.from_matrix(("only",), np.zeros((1, 1)),
+                                           np.array([True]))
         f = np.array([1.0])
         result = ipl(f, f, f, graph, IPLConfig(k=1))
         assert result.converged

@@ -276,6 +276,21 @@ class TestLinkOncePerMention:
                                            sample_size, seed)
         assert len({m for c in cs.mention_counts.values() for m in c}) > 1
 
+    def test_each_hashtag_body_segmented_once(self, monkeypatch, world_corpus,
+                                              world_snapshot):
+        calls = Counter()
+
+        def spy(body, vocab):
+            calls[body] += 1
+            return segment_hashtag(body, vocab)
+
+        monkeypatch.setattr(linking, "segment_hashtag", spy)
+        burst = self.fixture_burst(world_corpus)
+        cs = build_candidates(burst, world_corpus, world_snapshot)
+        assert calls["sochi2014"] == 1
+        assert set(calls.values()) == {1}
+        assert len(cs.sampled_tweet_ids) > len(calls)
+
     def test_link_prior_at_most_twice_per_distinct_mention(
             self, monkeypatch, world_corpus, world_snapshot):
         calls = Counter()

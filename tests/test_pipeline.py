@@ -249,24 +249,39 @@ class TestSerialization:
         assert paths[0] == paths[1]
 
     def test_bytes_independent_of_hash_seed(self, tmp_path):
-        # set iteration order follows PYTHONHASHSEED; the output must not
+        # set iteration order follows PYTHONHASHSEED; the output must not,
+        # and neither may the influence graphs' edge arrays
         script = ("import sys\n"
+                  "import trendtag.pipeline as pipeline\n"
                   "from test_pipeline import world_config\n"
                   "from world import build_corpus, build_wiki\n"
-                  "from trendtag.pipeline import run_annotate, write_annotations\n"
-                  "write_annotations(run_annotate(build_corpus(), build_wiki(),\n"
-                  "                               world_config(sample_size=800)),\n"
-                  "                  sys.argv[1])\n")
+                  "graphs = []\n"
+                  "build = pipeline.build_influence_graph\n"
+                  "def spy(*args):\n"
+                  "    graphs.append(build(*args))\n"
+                  "    return graphs[-1]\n"
+                  "pipeline.build_influence_graph = spy\n"
+                  "pipeline.write_annotations(\n"
+                  "    pipeline.run_annotate(build_corpus(), build_wiki(),\n"
+                  "                          world_config(sample_size=800)),\n"
+                  "    sys.argv[1])\n"
+                  "with open(sys.argv[2], 'wb') as fh:\n"
+                  "    for g in graphs:\n"
+                  "        fh.write(g.src.tobytes() + g.dst.tobytes()\n"
+                  "                 + g.weight.tobytes())\n")
         src = Path(pipeline.__file__).parents[1]
         path = os.pathsep.join([str(src), str(Path(__file__).parent)])
-        outputs = []
+        outputs, edges = [], []
         for hash_seed in ("1", "2"):
             out = tmp_path / f"hash{hash_seed}.jsonl"
+            arrays = tmp_path / f"hash{hash_seed}.edges"
             env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
-            subprocess.run([sys.executable, "-c", script, str(out)], env=env,
-                           check=True, timeout=300)
+            subprocess.run([sys.executable, "-c", script, str(out), str(arrays)],
+                           env=env, check=True, timeout=300)
             outputs.append(out.read_bytes())
+            edges.append(arrays.read_bytes())
         assert outputs[0] and outputs[0] == outputs[1]
+        assert edges[0] and edges[0] == edges[1]
 
     def test_evaluation_on_world(self, world_corpus, world_snapshot):
         anns = [annotate_hashtag(world_corpus, world_snapshot, "sochi2014",
