@@ -64,8 +64,11 @@ def _build_config(args) -> PipelineConfig:
 
 def _load_corpus(args):
     corpus, report = load_tweets_jsonl(args.tweets)
-    if report.rejected:
-        log.warning("%d malformed tweet records skipped", report.rejected)
+    for cause in ("bad_json", "missing_field", "bad_timestamp", "bad_text",
+                  "duplicates"):
+        if count := getattr(report, cause):
+            log.warning("%d tweet records skipped: %s", count,
+                        cause.replace("_", " "))
     return corpus
 
 

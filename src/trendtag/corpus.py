@@ -4,17 +4,23 @@ A hashtag is trending when its daily tweet count spikes far above the
 local median (the outlier fraction), its series is volatile enough, and
 it was adopted by enough distinct users. The burst period is a fixed-size
 window of days centered on the peak.
+
+The corpus is held as columns with one row per tweet, plus an index from
+each hashtag to its tweets' rows sorted by day, so the burst scan reads
+one array slice per hashtag; a series is a bincount of its day offsets.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from array import array
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 _HASHTAG_RE = re.compile(r"#(\w+)")
 
@@ -89,70 +95,141 @@ class HashtagBurst:
 
 @dataclass
 class IngestReport:
+    """What a load did with each record: accepted, dropped as a duplicate
+    id (the first occurrence wins), or rejected by its first fault in this
+    order: not a JSON object (bad_json), one of id, timestamp, text and
+    user_id absent (missing_field), a timestamp parse_timestamp refuses
+    (bad_timestamp), a text that is not a string (bad_text)."""
     accepted: int = 0
-    rejected: int = 0
     duplicates: int = 0
+    bad_json: int = 0
+    missing_field: int = 0
+    bad_timestamp: int = 0
+    bad_text: int = 0
+
+    @property
+    def rejected(self) -> int:
+        """Malformed records of every cause."""
+        return self.bad_json + self.missing_field + self.bad_timestamp + self.bad_text
 
 
 class TweetCorpus:
-    """Immutable after load; indexed by tweet id and by hashtag."""
+    """Immutable after load; one row per tweet, in load order.
 
-    def __init__(self, tweets: dict[str, Tweet]):
-        self._tweets = tweets
-        self._by_hashtag: dict[str, list[str]] = {}
-        for tid, tw in tweets.items():
-            for tag in set(tw.hashtags):
-                self._by_hashtag.setdefault(tag, []).append(tid)
-        days = [tw.day for tw in tweets.values()]
-        self.start_day: date | None = min(days) if days else None
-        self.end_day: date | None = max(days) if days else None
+    Columns: `ids` and the texts (lists), `days` (UTC day ordinals) and
+    `users` (codes of the user ids), both int32 arrays. A CSR index maps
+    each hashtag to the rows of the tweets carrying it, once per tweet
+    and sorted by day, so a hashtag's series, users and burst tweets are
+    array operations on one slice. No per-tweet objects are kept: `get`
+    builds a Tweet on demand.
+    """
+
+    def __init__(self, row_of: dict[str, int], texts: list[str],
+                 days: np.ndarray, users: np.ndarray, user_names: list[str],
+                 tag_code: dict[str, int], tag_ptr: np.ndarray,
+                 tag_rows: np.ndarray):
+        self._row = row_of
+        self.ids = list(row_of)  # rows are numbered in insertion order
+        self._texts = texts
+        self.days = days
+        self.users = users
+        self._user_names = user_names
+        self._tag = tag_code  # hashtag -> code, in sorted hashtag order
+        self._tag_ptr = tag_ptr
+        self._tag_rows = tag_rows
+        for column in (days, users, tag_ptr, tag_rows):
+            column.setflags(write=False)
+        self.start_day = date.fromordinal(int(days.min())) if len(days) else None
+        self.end_day = date.fromordinal(int(days.max())) if len(days) else None
 
     def __len__(self) -> int:
-        return len(self._tweets)
+        return len(self.ids)
 
     def __contains__(self, tweet_id: str) -> bool:
-        return tweet_id in self._tweets
+        return tweet_id in self._row
 
     def get(self, tweet_id: str) -> Tweet:
-        return self._tweets[tweet_id]
+        row = self._row[tweet_id]
+        text = self._texts[row]
+        return Tweet(tweet_id, date.fromordinal(int(self.days[row])), text,
+                     self._user_names[self.users[row]],
+                     tuple(extract_hashtags(text)))
+
+    def text(self, tweet_id: str) -> str:
+        return self._texts[self._row[tweet_id]]
 
     def hashtags(self) -> list[str]:
-        return sorted(self._by_hashtag)
+        return list(self._tag)
 
-    def tweets_with(self, hashtag: str) -> list[Tweet]:
-        return [self._tweets[t] for t in self._by_hashtag.get(hashtag, [])]
+    def rows(self, hashtag: str) -> np.ndarray:
+        """Rows of the tweets carrying the hashtag, sorted by day."""
+        code = self._tag.get(hashtag)
+        if code is None:
+            return self._tag_rows[:0]
+        return self._tag_rows[self._tag_ptr[code]:self._tag_ptr[code + 1]]
 
-    def users_of(self, hashtag: str) -> set[str]:
-        return {t.user_id for t in self.tweets_with(hashtag)}
 
+def load_tweets(records: Iterable[dict | None]) -> tuple[TweetCorpus, IngestReport]:
+    """Build a corpus from raw records, counting malformed ones by cause.
 
-def load_tweets(records: Iterable[dict]) -> tuple[TweetCorpus, IngestReport]:
-    """Build a corpus from raw records, skipping malformed ones.
-
-    Duplicate ids keep the first occurrence.
+    A record that is not a dict (iter_jsonl yields None for a line it
+    cannot decode) is bad JSON. Duplicate ids keep the first occurrence.
     """
     report = IngestReport()
-    tweets: dict[str, Tweet] = {}
+    row_of: dict[str, int] = {}
+    texts: list[str] = []
+    days = array("i")
+    users = array("i")
+    user_code: dict[str, int] = {}
+    tag_code: dict[str, int] = {}  # first-seen order until the index is built
+    pair_tag = array("i")  # one (hashtag, row) pair per distinct hashtag of a tweet
+    pair_row = array("i")
     for rec in records:
-        try:
-            tid = str(rec["id"])
-            day = timestamp_to_day(rec["timestamp"])
-            text = rec["text"]
-            user = str(rec["user_id"])
-            if not isinstance(text, str):
-                raise ValueError("text must be a string")
-        except (KeyError, TypeError, ValueError, OverflowError, OSError):
-            report.rejected += 1
+        if not isinstance(rec, dict):
+            report.bad_json += 1
             continue
-        if tid in tweets:
+        try:
+            tid, ts, text, user = rec["id"], rec["timestamp"], rec["text"], rec["user_id"]
+        except KeyError:
+            report.missing_field += 1
+            continue
+        try:
+            day = timestamp_to_day(ts).toordinal()
+        except (ValueError, OverflowError, OSError):
+            report.bad_timestamp += 1
+            continue
+        if not isinstance(text, str):
+            report.bad_text += 1
+            continue
+        tid = str(tid)
+        if tid in row_of:
             report.duplicates += 1
             continue
-        tweets[tid] = Tweet(tid, day, text, user, tuple(extract_hashtags(text)))
+        row = row_of[tid] = len(texts)
+        texts.append(text)
+        days.append(day)
+        users.append(user_code.setdefault(str(user), len(user_code)))
+        for tag in set(extract_hashtags(text)):
+            pair_tag.append(tag_code.setdefault(tag, len(tag_code)))
+            pair_row.append(row)
         report.accepted += 1
-    return TweetCorpus(tweets), report
+
+    day_col = np.array(days, dtype=np.int32)
+    sorted_code = {tag: i for i, tag in enumerate(sorted(tag_code))}
+    recode = np.array([sorted_code[tag] for tag in tag_code], dtype=np.int32)
+    codes = recode[np.array(pair_tag, dtype=np.intp)]
+    rows = np.array(pair_row, dtype=np.int32)
+    order = np.lexsort((day_col[rows], codes))  # by hashtag, then day, then row
+    tag_ptr = np.zeros(len(sorted_code) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(codes, minlength=len(sorted_code)), out=tag_ptr[1:])
+    corpus = TweetCorpus(row_of, texts, day_col, np.array(users, dtype=np.int32),
+                         list(user_code), sorted_code, tag_ptr, rows[order])
+    return corpus, report
 
 
-def iter_jsonl(path) -> Iterator[dict]:
+def iter_jsonl(path) -> Iterator[dict | None]:
+    """The JSON value of each non-blank line; None for a line that is not
+    valid JSON, so the caller counts it."""
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -160,8 +237,8 @@ def iter_jsonl(path) -> Iterator[dict]:
                 continue
             try:
                 yield json.loads(line)
-            except json.JSONDecodeError:
-                yield {}  # counted as rejected downstream
+            except ValueError:  # JSONDecodeError, or an over-long integer literal
+                yield None
 
 
 def load_tweets_jsonl(path) -> tuple[TweetCorpus, IngestReport]:
@@ -174,13 +251,11 @@ def hashtag_series(corpus: TweetCorpus, hashtag: str,
     float per day from start_day; days without tweets are 0."""
     if end_day < start_day:
         raise ValueError("empty date range")
-    n = (end_day - start_day).days + 1
-    values = np.zeros(n)
-    for tw in corpus.tweets_with(hashtag):
-        i = (tw.day - start_day).days
-        if 0 <= i < n:
-            values[i] += 1
-    return values
+    first = start_day.toordinal()
+    n = end_day.toordinal() - first + 1
+    days = corpus.days[corpus.rows(hashtag)]
+    lo, hi = np.searchsorted(days, (first, first + n))
+    return np.bincount(days[lo:hi] - first, minlength=n).astype(float)
 
 
 def outlier_fraction(values: np.ndarray, day_index: int,
@@ -203,10 +278,24 @@ def outlier_fraction(values: np.ndarray, day_index: int,
 
 def outlier_series(values: np.ndarray,
                    config: BurstConfig | None = None) -> np.ndarray:
-    """Outlier fraction of every day of a daily count series."""
+    """Outlier fraction of every day of a daily count series: one array
+    pass equal, bit for bit, to outlier_fraction day by day."""
     config = config or BurstConfig()
-    return np.array([outlier_fraction(values, i, config)
-                     for i in range(len(values))])
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    if n == 0:
+        return np.zeros(0)
+    half = config.median_window_days // 2
+    # Row i is day i's full window over the NaN-padded series; sorting puts
+    # the pads after the `count` real values of its clipped window.
+    padded = np.pad(values, half, constant_values=np.nan)
+    windows = np.sort(sliding_window_view(padded, 2 * half + 1), axis=1)
+    day = np.arange(n)
+    count = np.minimum(day + half + 1, n) - np.maximum(day - half, 0)
+    lower = windows[day, (count - 1) // 2]
+    upper = windows[day, count // 2]
+    n_b = np.where(count % 2 == 1, lower, (lower + upper) / 2)  # as np.median
+    return np.abs(values - n_b) / np.maximum(n_b, config.n_min)
 
 
 def detect_bursts(corpus: TweetCorpus, hashtag: str,
@@ -220,15 +309,14 @@ def detect_bursts(corpus: TweetCorpus, hashtag: str,
     outlier fraction, ties broken by the earlier day.
     """
     config = config or BurstConfig()
-    if corpus.start_day is None:
+    rows = corpus.rows(hashtag)
+    if not len(rows):
         return []
     series = hashtag_series(corpus, hashtag, corpus.start_day, corpus.end_day)
-    if series.sum() == 0:
-        return []
     if not force:
         if float(np.var(series)) < config.variance_threshold:
             return []
-        if len(corpus.users_of(hashtag)) < config.min_users:
+        if len(np.unique(corpus.users[rows])) < config.min_users:
             return []
     p = outlier_series(series, config)
     peak = int(np.argmax(p))  # argmax returns the first (earliest) maximum
@@ -241,8 +329,9 @@ def detect_bursts(corpus: TweetCorpus, hashtag: str,
         start = min(max(start, 0), n - w)
     window_start = corpus.start_day + timedelta(days=start)
     window_end = window_start + timedelta(days=w - 1)
-    ids = sorted(t.id for t in corpus.tweets_with(hashtag)
-                 if window_start <= t.day <= window_end)
+    lo, hi = np.searchsorted(corpus.days[rows], (window_start.toordinal(),
+                                                 window_end.toordinal() + 1))
+    ids = sorted(corpus.ids[r] for r in rows[lo:hi].tolist())
     return [HashtagBurst(hashtag, window_start, window_end,
                          corpus.start_day + timedelta(days=peak),
                          float(p[peak]), tuple(ids))]

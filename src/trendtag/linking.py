@@ -158,7 +158,7 @@ def build_candidates(burst: HashtagBurst, corpus: TweetCorpus,
     segment = functools.cache(functools.partial(segment_hashtag, vocab=vocab))
     mentions: Counter = Counter()
     for tid in ids:
-        tokens = _tokenize(corpus.get(tid).text, segment)
+        tokens = _tokenize(corpus.text(tid), segment)
         result.sample_token_counts.update(tokens)
         mentions.update(m for m, _ in longest_match(tokens, snapshot.lexicon,
                                                      first_words=first_words))

@@ -7,7 +7,7 @@ from dataclasses import fields
 import pytest
 
 from trendtag.cli import _build_config, build_parser, main
-from trendtag.corpus import BurstConfig
+from trendtag.corpus import BurstConfig, load_tweets_jsonl
 from trendtag.influence import IPLConfig
 from trendtag.pipeline import PipelineConfig, read_annotations
 from world import TARGET, gold_labels, tweet_records, wiki_tables
@@ -77,6 +77,37 @@ class TestBursts:
         printed = capsys.readouterr().out
         assert "#sochi2014" in printed
         assert "#randomchat" not in printed
+
+    def test_skipped_records_logged_by_cause(self, tmp_path, caplog, capsys):
+        ok = {"id": "a", "timestamp": "2014-02-01T10:00:00Z", "text": "ok #x",
+              "user_id": "u"}
+        lines = [
+            json.dumps(ok),
+            '{"id": "b", not json',                         # bad JSON
+            '["c"]',                                        # not an object
+            json.dumps({k: v for k, v in ok.items() if k != "user_id"}),
+            json.dumps(dict(ok, id="e", timestamp="nonsense")),
+            json.dumps(dict(ok, id="f", text=5)),
+            json.dumps(dict(ok, text="again #y")),          # duplicate id
+        ]
+        tweets = tmp_path / "tweets.jsonl"
+        tweets.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        corpus, report = load_tweets_jsonl(tweets)
+        assert (report.accepted, report.duplicates) == (1, 1)
+        assert (report.bad_json, report.missing_field, report.bad_timestamp,
+                report.bad_text) == (2, 1, 1, 1)
+        assert report.rejected == 5
+        assert corpus.get("a").hashtags == ("x",)
+        assert main(["bursts", "--tweets", str(tweets)]) == 0
+        warnings = sorted(r.getMessage() for r in caplog.records
+                          if r.name == "trendtag.cli")
+        assert warnings == [
+            "1 tweet records skipped: bad text",
+            "1 tweet records skipped: bad timestamp",
+            "1 tweet records skipped: duplicates",
+            "1 tweet records skipped: missing field",
+            "2 tweet records skipped: bad json",
+        ]
 
     def test_unknown_config_key_rejected(self, datadir, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,13 +1,14 @@
 """Corpus loading, hashtag time series, and burst detection."""
 
+from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trendtag.corpus import (BurstConfig, detect_bursts,
+from trendtag.corpus import (BurstConfig, Tweet, detect_bursts,
                              extract_hashtags, hashtag_series, load_tweets,
                              outlier_fraction, outlier_series,
                              parse_timestamp, timestamp_to_day)
@@ -76,6 +77,88 @@ class TestLoadTweets:
         assert timestamp_to_day("2014-02-09T23:30:00-05:00") == date(2014, 2, 10)
 
 
+FIELDS = ("id", "timestamp", "text", "user_id")
+REJECT_CAUSES = ("bad_json", "missing_field", "bad_timestamp", "bad_text")
+
+
+def reference_load(records):
+    """Row loader: one Tweet per accepted record, each rejected record
+    counted under its first fault (as IngestReport documents)."""
+    counts: Counter = Counter()
+    tweets: dict[str, Tweet] = {}
+    for rec in records:
+        if not isinstance(rec, dict):
+            counts["bad_json"] += 1
+            continue
+        if any(key not in rec for key in FIELDS):
+            counts["missing_field"] += 1
+            continue
+        try:
+            day = parse_timestamp(rec["timestamp"]).date()
+        except (ValueError, OverflowError, OSError):
+            counts["bad_timestamp"] += 1
+            continue
+        text = rec["text"]
+        if not isinstance(text, str):
+            counts["bad_text"] += 1
+            continue
+        tid = str(rec["id"])
+        if tid in tweets:
+            counts["duplicates"] += 1
+            continue
+        tweets[tid] = Tweet(tid, day, text, str(rec["user_id"]),
+                            tuple(extract_hashtags(text)))
+        counts["accepted"] += 1
+    return tweets, counts
+
+
+TIMESTAMPS = st.sampled_from([
+    "2014-02-01T10:00:00Z", "2014-02-01T23:30:00-05:00",
+    "2014-02-03T01:00:00+03:00", "2014-02-05", 1391947200, 1391947200.5,
+    True, False, None, "nonsense", 10 ** 20, [1],
+])
+TEXTS = st.one_of(
+    st.lists(st.sampled_from(["#a", "#A", "#b", "#Sochi2014", "go", "#a!"]),
+             max_size=4).map(" ".join),
+    st.sampled_from([5, None]))
+RECORDS = st.one_of(
+    st.fixed_dictionaries({"id": st.sampled_from(["a", "b", "c", 7]),
+                           "timestamp": TIMESTAMPS, "text": TEXTS,
+                           "user_id": st.sampled_from(["u1", "u2", 3])}),
+    st.sampled_from([None, {}, {"id": "a"}, {"id": "b", "timestamp": 0, "text": "#a"}]),
+)
+
+
+class TestLoaderMatchesRowLoader:
+    @given(st.lists(RECORDS, max_size=25))
+    @example([{"id": "a", "timestamp": "bad", "text": "#a", "user_id": "u"},
+              {"id": "a", "timestamp": 0, "text": "#a #A #a", "user_id": "u"},
+              {"id": "a", "timestamp": 0, "text": "dup", "user_id": "u"}])
+    @settings(max_examples=200, deadline=None)
+    def test_counts_and_tweets_equal(self, records):
+        corpus, report = load_tweets(records)
+        tweets, counts = reference_load(records)
+        for cause in ("accepted", "duplicates", *REJECT_CAUSES):
+            assert getattr(report, cause) == counts[cause], cause
+        assert report.rejected == sum(counts[c] for c in REJECT_CAUSES)
+        assert len(corpus) == len(tweets)
+        assert corpus.ids == list(tweets)
+        assert all(tid in corpus for tid in tweets)
+        assert [corpus.get(tid) for tid in tweets] == list(tweets.values())
+        assert [corpus.text(tid) for tid in tweets] == [
+            t.text for t in tweets.values()]
+        assert corpus.hashtags() == sorted(
+            {tag for t in tweets.values() for tag in t.hashtags})
+        days = [t.day for t in tweets.values()]
+        assert corpus.start_day == (min(days) if days else None)
+        assert corpus.end_day == (max(days) if days else None)
+        for tag in corpus.hashtags():
+            rows = corpus.rows(tag).tolist()
+            assert sorted(rows) == [i for i, t in enumerate(tweets.values())
+                                    if tag in t.hashtags]
+            assert [days[r] for r in rows] == sorted(days[r] for r in rows)
+
+
 class TestParseTimestamp:
     def test_returns_aware_utc_datetime(self):
         dt = parse_timestamp("2014-02-09T23:30:00-05:00")
@@ -126,7 +209,39 @@ class TestHashtagSeries:
         corpus = corpus_from_series(counts)
         series = hashtag_series(corpus, "tag", DAY0,
                                 DAY0 + timedelta(days=len(counts) - 1))
-        assert series.sum() == len(corpus.tweets_with("tag"))
+        assert series.sum() == len(corpus.rows("tag"))
+
+
+def random_corpus(tweets):
+    """One tweet per (day offset from DAY0, hashtags) pair."""
+    records = [rec(f"t{i}", offset, " ".join(f"#{t}" for t in tags) or "none")
+               for i, (offset, tags) in enumerate(tweets)]
+    return load_tweets(records)[0]
+
+
+CORPUS_TWEETS = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=12),
+              st.lists(st.sampled_from(["p", "q", "r"]), max_size=3)),
+    min_size=1, max_size=40)
+
+
+class TestSeriesMatchesTweetLoop:
+    @given(CORPUS_TWEETS, st.sampled_from(["p", "q", "r", "unknown"]),
+           st.integers(min_value=-5, max_value=15),
+           st.integers(min_value=1, max_value=25))
+    @settings(max_examples=150, deadline=None)
+    def test_series_equals_per_tweet_count(self, tweets, tag, first, length):
+        corpus = random_corpus(tweets)
+        start = DAY0 + timedelta(days=first)
+        end = start + timedelta(days=length - 1)
+        expected = np.zeros(length)
+        for tid in corpus.ids:
+            tw = corpus.get(tid)
+            if tag in tw.hashtags and start <= tw.day <= end:
+                expected[(tw.day - start).days] += 1
+        series = hashtag_series(corpus, tag, start, end)
+        assert series.dtype == np.float64
+        np.testing.assert_array_equal(series, expected)
 
 
 class TestOutlierFraction:
@@ -156,6 +271,38 @@ class TestOutlierFraction:
         a = np.array(base[:30] + [float(n_t)] + base[31:])
         b = np.array(base[:30] + [float(n_t + bump)] + base[31:])
         assert outlier_fraction(b, 30) >= outlier_fraction(a, 30)
+
+
+def per_day_outliers(values, config):
+    return np.array([outlier_fraction(values, i, config)
+                     for i in range(len(values))])
+
+
+class TestOutlierSeriesMatchesPerDay:
+    def test_every_length_exact(self):
+        """Lengths 1 to 150, under and over the 61-day median window."""
+        config = BurstConfig()
+        rng = np.random.default_rng(0)
+        for n in range(1, 151):
+            values = rng.integers(0, 60, n).astype(float)
+            values[rng.integers(0, n)] += 500  # one spike
+            np.testing.assert_array_equal(outlier_series(values, config),
+                                          per_day_outliers(values, config),
+                                          err_msg=f"length {n}")
+
+    @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1,
+                    max_size=150),
+           st.sampled_from([1, 3, 7, 61, 201]),
+           st.integers(min_value=1, max_value=50))
+    @settings(max_examples=150, deadline=None)
+    def test_windows_and_floors_exact(self, values, window, n_min):
+        values = np.array(values)
+        config = BurstConfig(median_window_days=window, n_min=n_min)
+        np.testing.assert_array_equal(outlier_series(values, config),
+                                      per_day_outliers(values, config))
+
+    def test_empty_series(self):
+        assert outlier_series(np.zeros(0)).shape == (0,)
 
 
 def spike_config(**kw):
@@ -216,8 +363,9 @@ class TestDetectBursts:
         values = [2] * 15 + [80] + [2] * 15
         corpus = corpus_from_series(values, users_per_day=3)
         burst = detect_bursts(corpus, "tag", spike_config())[0]
-        expected = sum(1 for t in corpus.tweets_with("tag")
-                       if burst.window_start <= t.day <= burst.window_end)
+        tweets = [corpus.get(tid) for tid in corpus.ids]
+        expected = sum(1 for t in tweets if "tag" in t.hashtags
+                       and burst.window_start <= t.day <= burst.window_end)
         assert len(burst.tweet_ids) == expected
 
     @given(st.lists(st.integers(min_value=0, max_value=60), min_size=3,
@@ -234,6 +382,28 @@ class TestDetectBursts:
         best = max(range(len(p)), key=lambda i: (p[i], -i))
         assert bursts[0].peak_day == DAY0 + timedelta(days=best)
         assert bursts[0].window_start <= bursts[0].peak_day <= bursts[0].window_end
+
+
+class TestBurstIdsMatchReferenceFilter:
+    @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1,
+                    max_size=20),
+           st.sampled_from([1, 3, 7]))
+    @settings(max_examples=100, deadline=None)
+    def test_window_ids(self, counts, w):
+        """Includes corpora shorter than the window, whose window reaches
+        past the corpus's last day."""
+        corpus = corpus_from_series(counts)
+        bursts = detect_bursts(corpus, "tag", spike_config(w=w), force=True)
+        if sum(counts) == 0:
+            assert bursts == []
+            return
+        burst = bursts[0]
+        assert burst.window_days == w
+        expected = sorted(
+            tid for tid in corpus.ids
+            if "tag" in corpus.get(tid).hashtags
+            and burst.window_start <= corpus.get(tid).day <= burst.window_end)
+        assert list(burst.tweet_ids) == expected
 
 
 class TestValidation:

@@ -7,11 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+from datetime import timedelta
+
+import numpy as np
 import pytest
 
 import trendtag
+import trendtag.corpus as corpus_module
 import trendtag.pipeline as pipeline
-from trendtag.corpus import detect_bursts
+from trendtag.corpus import detect_bursts, load_tweets
 from trendtag.influence import build_influence_graph, random_walk, top_k_indices
 from trendtag.linking import build_candidates
 from trendtag.pipeline import (PipelineConfig, RankedAnnotation, RankedEntity,
@@ -20,7 +24,7 @@ from trendtag.pipeline import (PipelineConfig, RankedAnnotation, RankedEntity,
                                trending_hashtags, write_annotations,
                                read_annotations)
 from trendtag.similarity import mention_similarity, normalize_scores
-from world import CITY, TARGET, gold_labels
+from world import CITY, N_DAYS, START, TARGET, gold_labels, tweet_records
 
 
 def reference_ap(ranking, relevant, cutoff):
@@ -188,6 +192,55 @@ class TestAnnotateHashtag:
     def test_trending_detection_finds_fixture_hashtag(self, world_corpus):
         bursts = trending_hashtags(world_corpus, world_config())
         assert [b.hashtag for b in bursts] == ["sochi2014"]
+
+    def test_scan_filters_each_hashtag_before_the_outlier_scan(self, monkeypatch):
+        """trending_hashtags calls detect_bursts once per hashtag in sorted
+        order, and only hashtags that pass the variance and user filters
+        reach outlier_series (the benchmark's shape check relies on both)."""
+        config = world_config()
+        records = tweet_records()
+
+        def add(tag, day, n, users):
+            for j in range(n):
+                records.append({"id": f"{tag}{len(records)}", "text": f"x #{tag}",
+                                "timestamp": f"{day.isoformat()}T08:00:00Z",
+                                "user_id": f"{tag}{j % users}"})
+
+        for offset in range(N_DAYS):
+            day = START + timedelta(days=offset)
+            add("seesaw", day, 20 if offset % 2 else 60, 100)  # volatile, never a burst
+            add("solo", day, 200 if offset == 30 else 1, 1)     # one user
+        corpus, _ = load_tweets(records)
+
+        called, reached = [], []
+        detect, outliers = pipeline.detect_bursts, corpus_module.outlier_series
+
+        def detect_spy(c, tag, *a, **k):
+            called.append(tag)
+            return detect(c, tag, *a, **k)
+
+        def outliers_spy(*a, **k):
+            reached.append(called[-1])
+            return outliers(*a, **k)
+
+        monkeypatch.setattr(pipeline, "detect_bursts", detect_spy)
+        monkeypatch.setattr(corpus_module, "outlier_series", outliers_spy)
+        trending = [b.hashtag for b in trending_hashtags(corpus, config)]
+
+        assert called == ["randomchat", "seesaw", "sochi2014", "solo"]
+        tweets = [corpus.get(tid) for tid in corpus.ids]
+        passing = []
+        for tag in called:
+            mine = [t for t in tweets if tag in t.hashtags]
+            series = np.zeros(N_DAYS)
+            for t in mine:
+                series[(t.day - START).days] += 1
+            if (np.var(series) >= config.burst.variance_threshold
+                    and len({t.user_id for t in mine}) >= config.burst.min_users):
+                passing.append(tag)
+        assert passing == ["seesaw", "sochi2014"]
+        assert reached == passing
+        assert trending == ["sochi2014"]
 
 
 class TestRankingQuality:

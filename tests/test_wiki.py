@@ -197,7 +197,8 @@ class TestLoadSnapshot:
         (tmp_path / "links.tsv").write_text("A\tB\nA\tB\tC\n")
         (tmp_path / "revisions.jsonl").write_text(
             '{"title": "A", "timestamp": "2014-02-01T00:00:00Z", "text": "x"}\n'
-            '{"title": "A", not json\n')
+            '{"title": "A", not json\n'
+            '[1, 2]\nnull\n{}\n')
         (tmp_path / "pageviews.tsv").write_text(
             "A\t2014-02-01\t3\n"
             "A\tnot-a-day\t3\n"
@@ -208,7 +209,7 @@ class TestLoadSnapshot:
         assert r.dropped_pages == 1      # wrong column count
         assert r.dropped_anchors == 2    # bad count + wrong column count
         assert r.dropped_links == 1      # wrong column count
-        assert r.dropped_revisions == 1  # not JSON
+        assert r.dropped_revisions == 4  # not JSON, not objects, no fields
         assert r.dropped_pageviews == 3  # bad day + bad count + wrong columns
         assert snap.entities == frozenset({"A", "B"})
         assert snap.lexicon["a"] == (("A", 3),)  # title (1) + anchor (2)
