@@ -105,7 +105,7 @@ def main():
     for entity in candidates.entities:
         added = temporal_context(snapshot, entity, burst.window_start,
                                  burst.window_end)
-        background = Counter(snapshot.latest_text.get(entity, "").split())
+        background = Counter(snapshot.latest_text(entity).split())
         fc = context_similarity(added, background, tweet_lm)
         print(f"  f_c({entity}) = {fc:.4f}  "
               f"(tokens added during the window: {dict(added)})")

@@ -39,8 +39,11 @@ def _build_config(args) -> PipelineConfig:
     values: dict = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            for key, val in json.load(fh).items():
-                values["lam" if key == "lambda" else key] = val
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise SystemExit("bad config: the file must hold a JSON object")
+        for key, val in loaded.items():
+            values["lam" if key == "lambda" else key] = val
     for name in _CONFIG_FLAGS:
         val = getattr(args, name, None)
         if val is not None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, Iterator
 
@@ -27,7 +27,7 @@ _HASHTAG_RE = re.compile(r"#(\w+)")
 
 def extract_hashtags(text: str) -> list[str]:
     """'#'-prefixed tokens of the text, lowercased, '#' stripped."""
-    return [m.group(1).lower() for m in _HASHTAG_RE.finditer(text)]
+    return [tag.lower() for tag in _HASHTAG_RE.findall(text)]
 
 
 def parse_timestamp(ts) -> datetime:
@@ -48,11 +48,6 @@ def parse_timestamp(ts) -> datetime:
     raise ValueError(f"bad timestamp: {ts!r}")
 
 
-def timestamp_to_day(ts) -> date:
-    """Epoch seconds or ISO-8601 instant -> UTC calendar day."""
-    return parse_timestamp(ts).date()
-
-
 @dataclass(frozen=True, slots=True)
 class Tweet:
     id: str
@@ -60,6 +55,16 @@ class Tweet:
     text: str
     user_id: str
     hashtags: tuple[str, ...]
+
+
+def check_field_types(config) -> None:
+    """Raise TypeError unless each int or float field of a config dataclass
+    holds its default's type; an int also fills a float field, a bool neither."""
+    for f in fields(config):
+        value, want = getattr(config, f.name), type(f.default)
+        allowed = {int: int, float: (int, float)}.get(want)
+        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+            raise TypeError(f"{f.name} must be {want.__name__}, not {value!r}")
 
 
 @dataclass
@@ -72,6 +77,7 @@ class BurstConfig:
     w: int = 7
 
     def __post_init__(self):
+        check_field_types(self)
         if min(self.n_min, self.trending_fraction_threshold,
                self.variance_threshold, self.min_users, self.w) <= 0:
             raise ValueError("all burst thresholds must be positive")
@@ -194,7 +200,7 @@ def load_tweets(records: Iterable[dict | None]) -> tuple[TweetCorpus, IngestRepo
             report.missing_field += 1
             continue
         try:
-            day = timestamp_to_day(ts).toordinal()
+            day = parse_timestamp(ts).date().toordinal()
         except (ValueError, OverflowError, OSError):
             report.bad_timestamp += 1
             continue
@@ -229,15 +235,14 @@ def load_tweets(records: Iterable[dict | None]) -> tuple[TweetCorpus, IngestRepo
 
 def iter_jsonl(path) -> Iterator[dict | None]:
     """The JSON value of each non-blank line; None for a line that is not
-    valid JSON, so the caller counts it."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    valid UTF-8 JSON, so the caller counts it and the rest still loads."""
+    with open(path, "rb") as fh:
+        for raw in fh:
             try:
-                yield json.loads(line)
-            except ValueError:  # JSONDecodeError, or an over-long integer literal
+                line = raw.decode("utf-8").strip()
+                if line:
+                    yield json.loads(line)
+            except ValueError:  # not UTF-8, not JSON, or an over-long integer
                 yield None
 
 

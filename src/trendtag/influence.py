@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import check_field_types
 from .wiki import WikiSnapshot
 
 WALK_TOL = 1e-10
@@ -184,6 +185,7 @@ class IPLConfig:
     tau: float = 0.85
 
     def __post_init__(self):
+        check_field_types(self)
         if self.k < 1 or self.mu <= 0 or self.epsilon <= 0:
             raise ValueError("k must be >= 1 and mu, epsilon positive")
         if not 0 <= self.tau < 1:

@@ -11,7 +11,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import BurstConfig, HashtagBurst, TweetCorpus, detect_bursts, hashtag_series
+from .corpus import (BurstConfig, HashtagBurst, TweetCorpus, check_field_types,
+                     detect_bursts, hashtag_series)
 from .influence import IPLConfig, build_influence_graph, ipl
 from .linking import CandidateSet, build_candidates
 from .similarity import (context_similarity, language_model,
@@ -40,6 +41,7 @@ class PipelineConfig:
     learner: IPLConfig = field(default_factory=IPLConfig)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.sample_size < 1 or self.map_cutoff < 1:
             raise ValueError("sample_size and map_cutoff must be >= 1")
         if self.expansion_cap < 0 or self.shift_range < 0:
@@ -125,7 +127,7 @@ def similarity_components(burst: HashtagBurst, candidates: CandidateSet,
     f_c, views = [], []
     for e in entities:
         ctx = temporal_context(snapshot, e, burst.window_start, burst.window_end)
-        background = snapshot.latest_text.get(e, "")
+        background = snapshot.latest_text(e)
         f_c.append(context_similarity(ctx, Counter(tokenize(background)),
                                       p_hashtag, config.lam))
         views.append(view_series(snapshot, e, burst.window_start,

@@ -3,7 +3,8 @@
 Four stores are built from flat files: the anchor lexicon (surface form
 -> weighted entity candidates), the entity link graph, per-entity
 revision histories for temporal contexts, and daily page-view counts
-with redirect views folded into their targets.
+with redirect views folded into their targets. Every day in the stores
+is a UTC day ordinal (`date.toordinal()`), as in the tweet corpus.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
@@ -38,20 +39,26 @@ class BuildReport:
 
 
 class WikiSnapshot:
-    """Immutable bundle of the lexicon, link graph, revisions, and page views."""
+    """Immutable bundle of the lexicon, link graph, revisions, and page
+    views; revisions and page views are dated by UTC day ordinal."""
 
     def __init__(self, entities, lexicon, out_links, in_links,
-                 revisions, latest_text, pageviews, report: BuildReport):
+                 revisions, pageviews, report: BuildReport):
         self.entities: frozenset[str] = entities
         # surface form -> tuple of (entity, link count), count-descending
         self.lexicon: dict[str, tuple[tuple[str, int], ...]] = lexicon
         self.out_links: dict[str, frozenset[str]] = out_links
         self.in_links: dict[str, frozenset[str]] = in_links
-        # entity -> tuple of (utc datetime, text), strictly increasing
-        self.revisions: dict[str, tuple[tuple[datetime, str], ...]] = revisions
-        self.latest_text: dict[str, str] = latest_text
-        self.pageviews: dict[str, dict[date, int]] = pageviews
+        # entity -> tuple of (day ordinal, text), strictly increasing timestamps
+        self.revisions: dict[str, tuple[tuple[int, str], ...]] = revisions
+        # entity -> day ordinal -> views
+        self.pageviews: dict[str, dict[int, int]] = pageviews
         self.report = report
+
+    def latest_text(self, entity: str) -> str:
+        """Text of the entity's last revision; "" when it has none."""
+        revs = self.revisions.get(entity)
+        return revs[-1][1] if revs else ""
 
     @property
     def entity_count(self) -> int:
@@ -135,11 +142,8 @@ def build_snapshot(pages: Iterable[tuple[str, str]],
             kinds[title] = flags
     resolve, dropped = _resolve_all(kinds, redirects)
     report.dropped_pages += dropped
-
-    def as_article(title: str) -> str | None:
-        t = resolve.get(title)
-        return t if t is not None and kinds.get(t) == ARTICLE else None
-
+    # title -> the article it resolves to (absent when it resolves to none)
+    as_article = {t: a for t, a in resolve.items() if kinds.get(a) == ARTICLE}.get
     entities = frozenset(t for t, k in kinds.items() if k == ARTICLE)
 
     # Link graph (article-to-article, redirect-resolved, no self-links).
@@ -202,77 +206,63 @@ def build_snapshot(pages: Iterable[tuple[str, str]],
             report.dropped_revisions += 1
             continue
         rev_raw.setdefault(e, []).append((dt, text))
-    revs: dict[str, tuple[tuple[datetime, str], ...]] = {}
-    latest_text: dict[str, str] = {}
+    revs: dict[str, tuple[tuple[int, str], ...]] = {}
     for e, pairs in rev_raw.items():
         pairs.sort(key=lambda p: p[0])
-        ordered = []
-        for dt, text in pairs:
-            if ordered and ordered[-1][0] == dt:
-                report.dropped_revisions += 1  # duplicate timestamp, keep first
-                continue
-            ordered.append((dt, text))
-        revs[e] = tuple(ordered)
-        latest_text[e] = ordered[-1][1]
+        # a duplicate timestamp keeps its first revision
+        kept = [p for i, p in enumerate(pairs) if i == 0 or p[0] != pairs[i - 1][0]]
+        report.dropped_revisions += len(pairs) - len(kept)
+        revs[e] = tuple((dt.date().toordinal(), text) for dt, text in kept)
 
-    views: dict[str, dict[date, int]] = {}
+    views: dict[str, dict[int, int]] = {}
     for title, day, n in pageviews:
         e = as_article(title)
         if e is None or n < 0:
             report.dropped_pageviews += 1
             continue
         per = views.setdefault(e, {})
-        per[day] = per.get(day, 0) + n  # redirect folding is additive
+        d = day.toordinal()
+        per[d] = per.get(d, 0) + n  # redirect folding is additive
 
     return WikiSnapshot(
         entities, lexicon,
         {e: frozenset(s) for e, s in out_links.items()},
         {e: frozenset(s) for e, s in in_links.items()},
-        revs, latest_text, views, report)
+        revs, views, report)
 
 
-def _read_tsv(path, ncols, report: BuildReport, field: str):
-    """Yield the lines of path that have exactly ncols tab-separated fields;
-    every other non-empty line is logged and counted in report.<field>."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != ncols:
-                log.warning("skipping malformed line in %s: %r", path, line)
+def _read_tsv(path, ncols, report: BuildReport, field: str, parse=None):
+    """Yield each non-empty line of path as its ncols tab-separated fields,
+    or as parse(fields) when parse is given. A line that is not UTF-8, has
+    another column count, or that parse rejects with ValueError is logged
+    and counted in report.<field>."""
+    with open(path, "rb") as fh:
+        for raw in fh:
+            try:
+                parts = raw.decode("utf-8").rstrip("\r\n").split("\t")
+                if parts == [""]:
+                    continue  # a blank line
+                if len(parts) != ncols:
+                    raise ValueError("wrong column count")
+                yield parts if parse is None else parse(parts)
+            except ValueError:
+                log.warning("skipping malformed line in %s: %r", path, raw)
                 setattr(report, field, getattr(report, field) + 1)
-                continue
-            yield parts
-
-
-def _parse_tsv(path, ncols, parse, report: BuildReport, field: str):
-    """Yield parse(row) for each row of _read_tsv; a row that parse rejects
-    with ValueError is logged and counted in report.<field> too."""
-    for row in _read_tsv(path, ncols, report, field):
-        try:
-            yield parse(row)
-        except ValueError:
-            log.warning("skipping unparsable row in %s: %r", path, row)
-            setattr(report, field, getattr(report, field) + 1)
 
 
 def load_snapshot(wiki_dir) -> WikiSnapshot:
     """Stream pages.tsv, anchors.tsv, links.tsv, revisions.jsonl and
     pageviews.tsv into build_snapshot, each file read once.
 
-    Rows skipped while parsing (wrong column count, unparsable count or
-    day) are counted in the report's dropped_* field of their file.
+    Rows skipped while parsing (not UTF-8, wrong column count, unparsable
+    count or day) are counted in the report's dropped_* field of their file.
     """
     d = Path(wiki_dir)
     report = BuildReport()
-    anchors = _parse_tsv(d / "anchors.tsv", 3,
-                         lambda r: (r[0], r[1], int(r[2])),
-                         report, "dropped_anchors")
-    pageviews = _parse_tsv(d / "pageviews.tsv", 3,
-                           lambda r: (r[0], date.fromisoformat(r[1]), int(r[2])),
-                           report, "dropped_pageviews")
+    anchors = _read_tsv(d / "anchors.tsv", 3, report, "dropped_anchors",
+                        lambda r: (r[0], r[1], int(r[2])))
+    pageviews = _read_tsv(d / "pageviews.tsv", 3, report, "dropped_pageviews",
+                          lambda r: (r[0], date.fromisoformat(r[1]), int(r[2])))
     return build_snapshot(_read_tsv(d / "pages.tsv", 2, report, "dropped_pages"),
                           anchors,
                           _read_tsv(d / "links.tsv", 2, report, "dropped_links"),
@@ -292,9 +282,7 @@ def link_prior(snapshot: WikiSnapshot, mention: str) -> dict[str, float]:
 
 def added_tokens(old_text: str, new_text: str) -> Counter:
     """Token-level multiset difference: tokens of new minus tokens of old."""
-    diff = Counter(tokenize(new_text))
-    diff.subtract(Counter(tokenize(old_text)))
-    return Counter({t: n for t, n in diff.items() if n > 0})
+    return Counter(tokenize(new_text)) - Counter(tokenize(old_text))
 
 
 def temporal_context(snapshot: WikiSnapshot, entity: str,
@@ -308,14 +296,14 @@ def temporal_context(snapshot: WikiSnapshot, entity: str,
     if end_day < start_day:
         raise ValueError("empty period")
     revs = snapshot.revisions.get(entity, ())
-    hi = end_day + timedelta(days=lag_days)
-    inside = [text for dt, text in revs if start_day <= dt.date() <= hi]
+    lo = start_day.toordinal()
+    hi = end_day.toordinal() + lag_days
+    inside = [text for day, text in revs if lo <= day <= hi]
     if not inside:
         return Counter()
-    before = [text for dt, text in revs if dt.date() < start_day]
-    base = before[-1] if before else ""
+    before = [text for day, text in revs if day < lo]
+    prev = before[-1] if before else ""  # the diff base
     context: Counter = Counter()
-    prev = base
     for text in inside:
         context.update(added_tokens(prev, text))
         prev = text
@@ -329,8 +317,6 @@ def view_series(snapshot: WikiSnapshot, entity: str,
     if end_day < start_day:
         raise ValueError("empty period")
     per = snapshot.pageviews.get(entity, {})
-    n = (end_day - start_day).days + 1
-    values = np.zeros(n)
-    for i in range(n):
-        values[i] = per.get(start_day + timedelta(days=i), 0)
-    return values
+    return np.array([per.get(d, 0) for d in
+                     range(start_day.toordinal(), end_day.toordinal() + 1)],
+                    dtype=float)

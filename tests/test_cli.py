@@ -211,10 +211,17 @@ class TestConfigRouting:
         {"sample_size": -5}, {"sample_size": 0}, {"expansion_cap": -1},
         {"shift_range": -1}, {"lambda": 2}, {"lambda": -0.1},
         {"relevance_threshold": 3}, {"map_cutoff": 0}, {"sample_size": "5"},
-        {"tau": 1.5}, {"tau": -0.5}, {"tau": 1}])
+        {"tau": 1.5}, {"tau": -0.5}, {"tau": 1}, {"sample_size": 400.5},
+        {"w": 7.5}, {"k": True}, {"tau": False}, [{"w": 5}]])
     def test_invalid_value_rejected(self, tmp_path, values):
         with pytest.raises(SystemExit, match="bad config"):
             self.build("--config", self.config_file(tmp_path, values))
+
+    def test_int_fills_a_float_setting(self, tmp_path):
+        config = self.build("--config", self.config_file(
+            tmp_path, {"lambda": 1, "tau": 0, "variance_threshold": 50}))
+        assert (config.lam, config.learner.tau) == (1, 0)
+        assert config.burst.variance_threshold == 50
 
     def test_window_flag_sets_the_burst_window(self, datadir, tmp_path):
         out = tmp_path / "annotations.jsonl"

@@ -1,5 +1,6 @@
 """Corpus loading, hashtag time series, and burst detection."""
 
+import json
 from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from trendtag.corpus import (BurstConfig, Tweet, detect_bursts,
                              extract_hashtags, hashtag_series, load_tweets,
+                             load_tweets_jsonl,
                              outlier_fraction, outlier_series,
-                             parse_timestamp, timestamp_to_day)
+                             parse_timestamp)
 
 DAY0 = date(2014, 2, 1)
 
@@ -52,6 +54,16 @@ class TestLoadTweets:
         assert corpus.get("a").hashtags == ("sochi2014",)
         assert extract_hashtags("a #B #b c") == ["b", "b"]
 
+    def test_undecodable_line_counted_as_bad_json(self, tmp_path):
+        path = tmp_path / "tweets.jsonl"
+        lines = [json.dumps(rec("a", 0, "ok #x")).encode(),
+                 b'{"id": "b", "timestamp": 0, "text": "\xff", "user_id": "u"}',
+                 json.dumps(rec("c", 1, "ok #y")).encode()]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        corpus, report = load_tweets_jsonl(path)
+        assert (report.accepted, report.bad_json, report.rejected) == (2, 1, 1)
+        assert corpus.ids == ["a", "c"]
+
     def test_empty_stream(self):
         corpus, report = load_tweets([])
         assert len(corpus) == 0
@@ -69,12 +81,12 @@ class TestLoadTweets:
         assert report.rejected == 3
 
     def test_epoch_and_iso_timestamps_agree(self):
-        assert timestamp_to_day(1391947200) == timestamp_to_day(
-            "2014-02-09T12:00:00Z")
+        assert parse_timestamp(1391947200).date() == parse_timestamp(
+            "2014-02-09T12:00:00Z").date()
 
     def test_day_bucketing_is_utc(self):
         # 23:30 UTC-5 is the next day in UTC
-        assert timestamp_to_day("2014-02-09T23:30:00-05:00") == date(2014, 2, 10)
+        assert parse_timestamp("2014-02-09T23:30:00-05:00").date() == date(2014, 2, 10)
 
 
 FIELDS = ("id", "timestamp", "text", "user_id")
@@ -180,10 +192,6 @@ class TestParseTimestamp:
     def test_bad_values_rejected(self, bad):
         with pytest.raises(ValueError):
             parse_timestamp(bad)
-
-    def test_day_is_the_parsed_utc_date(self):
-        for ts in (0, 1391990400, "2014-02-09T23:30:00-05:00", "2014-02-10"):
-            assert timestamp_to_day(ts) == parse_timestamp(ts).date()
 
 
 class TestHashtagSeries:

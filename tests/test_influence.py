@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -548,3 +549,42 @@ class TestIPL:
             np.testing.assert_allclose(result.scores, walked, rtol=0, atol=1e-9)
             top = top_k_indices(walked, graph.nodes, k)
             assert [e for e, _ in result.ranking] == [graph.nodes[i] for i in top]
+
+
+class TestVeryLargeCandidateSet:
+    """A candidate set of 15,000 nodes, far above the workloads': a dense
+    n x n float matrix of it would take 1.8 GB, so the walk and the
+    learner must stay on the edge arrays."""
+
+    N = 15_000
+
+    @staticmethod
+    def sparse_graph(n, seed):
+        """About 3 out-edges per node to random other nodes, 2% dangling."""
+        rng = np.random.default_rng(seed)
+        dangling = rng.random(n) < 0.02
+        src = np.repeat(np.arange(n), np.where(dangling, 0, rng.integers(1, 6, n)))
+        dst = rng.integers(0, n - 1, len(src))
+        dst += dst >= src  # no self-links
+        src, dst = np.divmod(np.unique(src * n + dst), n)  # no repeated edge
+        weight = rng.random(len(src)) + 0.05
+        weight /= np.bincount(src, weights=weight, minlength=n)[src]
+        nodes = tuple(f"e{i:05d}" for i in range(n))
+        return InfluenceGraph(nodes, src, dst, weight, dangling), rng
+
+    def test_walk_and_learner_stay_sparse(self):
+        n = self.N
+        graph, rng = self.sparse_graph(n, seed=3)
+        assert 0 < graph.dangling.sum() < n and 2.5 < len(graph.src) / n < 3.5
+        f_m, f_c, f_t = (v / v.sum() for v in rng.random((3, n)) + 1e-3)
+        tracemalloc.start()
+        try:
+            r, converged = random_walk(graph, f_m)
+            result = ipl(f_m, f_c, f_t, graph, IPLConfig(k=15, max_iterations=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert converged
+        assert np.all(r >= 0) and r.sum() == pytest.approx(1.0, abs=1e-9)
+        assert len({e for e, _ in result.ranking}) == 15
+        assert peak < n * n * 8 / 100  # under 1% of one dense matrix

@@ -1,7 +1,7 @@
 """Snapshot building, lexicon priors, temporal contexts, and view series."""
 
 from collections import Counter
-from datetime import date, timedelta
+from datetime import date
 
 import pytest
 from hypothesis import given, settings
@@ -214,8 +214,9 @@ class TestLoadSnapshot:
         assert snap.entities == frozenset({"A", "B"})
         assert snap.lexicon["a"] == (("A", 3),)  # title (1) + anchor (2)
         assert snap.incoming("B") == frozenset({"A"})
-        assert snap.pageviews["A"] == {date(2014, 2, 1): 3}
-        assert snap.latest_text["A"] == "x"
+        assert snap.pageviews["A"] == {date(2014, 2, 1).toordinal(): 3}
+        assert snap.latest_text("A") == "x"
+        assert snap.latest_text("B") == ""
 
     def test_revision_timestamps_parsed_like_tweets(self):
         revisions = [
@@ -227,11 +228,72 @@ class TestLoadSnapshot:
         ]
         snap = snapshot(pages=[("A", "ARTICLE")], revisions=revisions)
         assert snap.report.dropped_revisions == 3
-        stamps = [dt for dt, _ in snap.revisions["A"]]
-        assert [dt.utcoffset() for dt in stamps] == [timedelta(0)] * 2
-        assert [dt.date() for dt in stamps] == [date(2014, 2, 10)] * 2
+        # both fall on UTC Feb 10, ordered by their full timestamps
+        day = date(2014, 2, 10).toordinal()
+        assert snap.revisions["A"] == ((day, "x y"), (day, "x"))
         assert temporal_context(snap, "A", date(2014, 2, 10),
                                 date(2014, 2, 10)) == Counter({"x": 1, "y": 1})
+
+    def test_duplicate_timestamp_keeps_first_revision(self):
+        revisions = [
+            {"title": "A", "timestamp": "2014-02-02T00:00:00Z", "text": "late"},
+            {"title": "A", "timestamp": "2014-02-01T08:00:00Z", "text": "first"},
+            {"title": "A", "timestamp": "2014-02-01T03:00:00-05:00", "text": "dup"},
+        ]
+        snap = snapshot(pages=[("A", "ARTICLE")], revisions=revisions)
+        assert snap.report.dropped_revisions == 1
+        assert snap.revisions["A"] == ((date(2014, 2, 1).toordinal(), "first"),
+                                       (date(2014, 2, 2).toordinal(), "late"))
+        assert snap.latest_text("A") == "late"
+
+    def test_crlf_lines_load_like_lf(self, tmp_path):
+        files = {
+            "pages.tsv": "A\tARTICLE\nB\tREDIRECT:A\n",
+            "anchors.tsv": "a\tB\t2\n",
+            "links.tsv": "B\tA\n",
+            "revisions.jsonl": '{"title": "A", "timestamp": 0, "text": "x"}\n',
+            "pageviews.tsv": "B\t2014-02-01\t3\n\n",
+        }
+        for sub, newline in (("lf", "\n"), ("crlf", "\r\n")):
+            (tmp_path / sub).mkdir()
+            for f, text in files.items():
+                (tmp_path / sub / f).write_bytes(text.replace("\n", newline).encode())
+        lf, crlf = load_snapshot(tmp_path / "lf"), load_snapshot(tmp_path / "crlf")
+        assert vars(crlf.report) == vars(lf.report)
+        for store in ("entities", "lexicon", "out_links", "revisions", "pageviews"):
+            assert getattr(crlf, store) == getattr(lf, store)
+        assert crlf.pageviews == {"A": {date(2014, 2, 1).toordinal(): 3}}
+
+    @pytest.mark.parametrize("name, bad_line, field", [
+        ("pages.tsv", b"C\xff\tARTICLE", "dropped_pages"),
+        ("anchors.tsv", b"\xff\tA\t2", "dropped_anchors"),
+        ("links.tsv", b"B\tA\xff", "dropped_links"),
+        ("revisions.jsonl",
+         b'{"title": "A", "timestamp": "2014-02-02T00:00:00Z", "text": "\xff"}',
+         "dropped_revisions"),
+        ("pageviews.tsv", b"A\t2014-02-02\t\xff", "dropped_pageviews"),
+    ], ids=["pages", "anchors", "links", "revisions", "pageviews"])
+    def test_undecodable_line_counted_and_rest_loaded(self, tmp_path, name,
+                                                      bad_line, field):
+        files = {
+            "pages.tsv": b"A\tARTICLE\nB\tARTICLE\n",
+            "anchors.tsv": b"a\tA\t2\n",
+            "links.tsv": b"A\tB\n",
+            "revisions.jsonl": b'{"title": "A", "timestamp": '
+                               b'"2014-02-01T00:00:00Z", "text": "x"}\n',
+            "pageviews.tsv": b"A\t2014-02-01\t3\n",
+        }
+        for sub, bad in (("clean", None), ("bad", name)):
+            (tmp_path / sub).mkdir()
+            for f, data in files.items():
+                prefix = bad_line + b"\n" if f == bad else b""
+                (tmp_path / sub / f).write_bytes(prefix + data)
+        clean = load_snapshot(tmp_path / "clean")
+        snap = load_snapshot(tmp_path / "bad")
+        assert vars(snap.report) == {**vars(clean.report), field: 1}
+        assert getattr(clean.report, field) == 0
+        for store in ("entities", "lexicon", "out_links", "revisions", "pageviews"):
+            assert getattr(snap, store) == getattr(clean, store)
 
     def test_parse_drops_add_to_build_drops(self, tmp_path):
         (tmp_path / "pages.tsv").write_text("A\tARTICLE\n")
