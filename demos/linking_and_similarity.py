@@ -96,7 +96,7 @@ def main():
               f"mentions {dict(candidates.mention_counts.get(entity, {}))}")
 
     print("\n== Mention similarity f_m ==")
-    for entity, score in sorted(mention_similarity(candidates, snapshot).items(),
+    for entity, score in sorted(mention_similarity(candidates).items(),
                                 key=lambda kv: -kv[1]):
         print(f"  f_m({entity}) = {score:.4f}")
 

@@ -113,6 +113,7 @@ class CandidateSet:
     mention_counts: dict[str, Counter] = field(default_factory=dict)  # entity -> mention -> count
     sampled_tweet_ids: tuple[str, ...] = ()
     sample_token_counts: Counter = field(default_factory=Counter)
+    priors: dict[str, dict[str, float]] = field(default_factory=dict)  # mention -> link_prior
 
     @property
     def entities(self) -> list[str]:
@@ -165,7 +166,8 @@ def build_candidates(burst: HashtagBurst, corpus: TweetCorpus,
     # Distinct mentions in first-seen order: entities and each entity's
     # mentions are inserted in the order a per-occurrence scan would use.
     for mention, count in mentions.items():
-        for entity, prior in link_prior(snapshot, mention).items():
+        result.priors[mention] = link_prior(snapshot, mention)
+        for entity, prior in result.priors[mention].items():
             if prior > 0:
                 result.provenance[entity] = "seed"
                 result.mention_counts.setdefault(entity, Counter())[mention] = count

@@ -27,8 +27,7 @@ log = logging.getLogger(__name__)
 @dataclass
 class PipelineConfig:
     """Settings of a run. Each setting has one home: the burst filters and
-    the window w live in `burst`, the learner's k, tau, mu, epsilon and
-    max_iterations in `learner`, and the rest here."""
+    window in `burst`, the learner's settings in `learner`, the rest here."""
 
     lam: float = 0.9
     shift_range: int = 3
@@ -63,6 +62,9 @@ class RankedEntity:
     provenance: str
 
 
+_WEIGHT_KEYS = ("alpha", "beta", "gamma")  # of f_m, f_c and f_t in the fusion
+
+
 @dataclass
 class RankedAnnotation:
     hashtag: str
@@ -72,34 +74,32 @@ class RankedAnnotation:
     entities: list[RankedEntity]
     reason: str | None = None  # set when the hashtag is unannotatable
 
-    def to_json_obj(self) -> dict:
+    def to_json_line(self) -> str:
+        """This annotation's line of annotations.jsonl, without the newline."""
         obj = {
             "hashtag": self.hashtag,
             "window": None if self.window_start is None else {
                 "start": self.window_start.isoformat(),
                 "end": self.window_end.isoformat(),
             },
-            "weights": None if self.weights is None else {
-                "alpha": self.weights[0],
-                "beta": self.weights[1],
-                "gamma": self.weights[2],
-            },
+            "weights": None if self.weights is None
+            else dict(zip(_WEIGHT_KEYS, self.weights)),
             "entities": [asdict(e) for e in self.entities],
         }
         if self.reason is not None:
             obj["reason"] = self.reason
-        return obj
+        return json.dumps(obj, sort_keys=True, ensure_ascii=False)
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "RankedAnnotation":
+    def from_json_line(cls, line: str) -> "RankedAnnotation":
+        obj = json.loads(line)
         window = obj.get("window")
         weights = obj.get("weights")
         return cls(
             hashtag=obj["hashtag"],
             window_start=date.fromisoformat(window["start"]) if window else None,
             window_end=date.fromisoformat(window["end"]) if window else None,
-            weights=(weights["alpha"], weights["beta"], weights["gamma"])
-            if weights else None,
+            weights=tuple(weights[k] for k in _WEIGHT_KEYS) if weights else None,
             entities=[RankedEntity(**e) for e in obj.get("entities", [])],
             reason=obj.get("reason"),
         )
@@ -120,7 +120,7 @@ def similarity_components(burst: HashtagBurst, candidates: CandidateSet,
     is candidates.entities[i]: the sorted candidate titles, which are also
     the influence graph's nodes."""
     entities = candidates.entities
-    f_m = mention_similarity(candidates, snapshot)
+    f_m = mention_similarity(candidates)
     p_hashtag = language_model(candidates.sample_token_counts)
     counts = hashtag_series(corpus, burst.hashtag, burst.window_start,
                             burst.window_end)
@@ -206,34 +206,37 @@ def run_annotate(corpus: TweetCorpus, snapshot: WikiSnapshot,
 def write_annotations(annotations: Iterable[RankedAnnotation], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for ann in annotations:
-            fh.write(json.dumps(ann.to_json_obj(), sort_keys=True,
-                                ensure_ascii=False) + "\n")
+            fh.write(ann.to_json_line() + "\n")
+
+
+def _parse_lines(path, parse) -> Iterator:
+    """parse(line) of each non-blank line of a UTF-8 file; a line that is
+    not UTF-8, or that parse rejects, raises ValueError naming path:line."""
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").rstrip("\n")
+                if line.strip():
+                    yield parse(line)
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from exc
 
 
 def read_annotations(path) -> list[RankedAnnotation]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(RankedAnnotation.from_json_obj(json.loads(line)))
-    return out
+    return list(_parse_lines(path, RankedAnnotation.from_json_line))
+
+
+def _gold_row(line: str) -> tuple[tuple[str, str], int]:
+    tag, title, grade = line.split("\t")  # ValueError unless 3 columns
+    if int(grade) not in (0, 1, 2):
+        raise ValueError(f"grade must be 0, 1, or 2: {grade}")
+    return (tag.lower().lstrip("#"), title), int(grade)
 
 
 def load_gold(path) -> dict[tuple[str, str], int]:
-    """gold.tsv rows: hashtag <tab> entity_title <tab> grade (0, 1, or 2)."""
-    gold: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            tag, title, grade = line.split("\t")
-            grade = int(grade)
-            if grade not in (0, 1, 2):
-                raise ValueError(f"grade must be 0, 1, or 2: {grade}")
-            gold[(tag.lower().lstrip("#"), title)] = grade
-    return gold
+    """gold.tsv rows: hashtag <tab> entity_title <tab> grade (0, 1, or 2).
+    A malformed row raises ValueError naming path:line."""
+    return dict(_parse_lines(path, _gold_row))
 
 
 def average_precision(ranking: list[str], relevant: set[str],
@@ -261,7 +264,8 @@ def evaluate(annotations: Iterable[RankedAnnotation],
 
     Labels are binarized at the relevance threshold; unjudged pairs count
     as non-relevant; hashtags absent from the gold set are excluded and
-    reported.
+    reported. A judged hashtag with no annotation is listed as missing and
+    scores 0 on every metric of the macro averages.
     """
     if relevance_threshold not in (1, 2):
         raise ValueError("relevance_threshold must be 1 or 2")
@@ -281,8 +285,8 @@ def evaluate(annotations: Iterable[RankedAnnotation],
             "ap": average_precision(ranking, relevant, cutoff),
         }
     macro = {
-        key: (sum(h[key] for h in per_hashtag.values()) / len(per_hashtag)
-              if per_hashtag else 0.0)
+        key: (sum(h[key] for h in per_hashtag.values()) / len(judged_tags)
+              if judged_tags else 0.0)
         for key in ("p_at_5", "p_at_15", "ap")
     }
     return {
@@ -290,6 +294,7 @@ def evaluate(annotations: Iterable[RankedAnnotation],
         "macro": {"p_at_5": macro["p_at_5"], "p_at_15": macro["p_at_15"],
                   "map": macro["ap"]},
         "excluded": sorted(excluded),
+        "missing": sorted(judged_tags - set(per_hashtag)),
         "relevance_threshold": relevance_threshold,
         "cutoff": cutoff,
     }

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linking import CandidateSet
-from .wiki import WikiSnapshot, link_prior
 
 KL_FLOOR = 1e-10
 
@@ -29,21 +28,17 @@ def normalize_scores(values) -> np.ndarray:
     return arr / total if total > 0 else arr
 
 
-def mention_similarity(candidates: CandidateSet,
-                       snapshot: WikiSnapshot) -> dict[str, float]:
+def mention_similarity(candidates: CandidateSet) -> dict[str, float]:
     """f_m per entity: sum over its mentions of link prior times mention frequency.
 
+    The link priors are the ones `build_candidates` computed while linking.
     Expansion-only entities have no mentions and score 0.
     """
-    priors: dict[str, dict[str, float]] = {}
     scores: dict[str, float] = {}
     for entity in candidates.entities:
         total = 0.0
         for mention, q in candidates.mention_frequencies(entity).items():
-            prior = priors.get(mention)
-            if prior is None:
-                prior = priors[mention] = link_prior(snapshot, mention)
-            total += prior.get(entity, 0.0) * q
+            total += candidates.priors[mention].get(entity, 0.0) * q
         scores[entity] = total
     return scores
 

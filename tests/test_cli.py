@@ -2,10 +2,12 @@
 
 import json
 import pickle
+import re
 from dataclasses import fields
 
 import pytest
 
+import trendtag.cli as cli
 from trendtag.cli import _build_config, build_parser, main
 from trendtag.corpus import BurstConfig, load_tweets_jsonl
 from trendtag.influence import IPLConfig
@@ -137,6 +139,18 @@ class TestAnnotate:
         assert obj["hashtag"] == "randomchat"
         assert obj.get("reason") != "not-trending"
 
+    def test_stdout_lines_equal_out_file(self, datadir, tmp_path, capsys):
+        out = tmp_path / "annotations.jsonl"
+        argv = ["annotate", "--tweets", str(datadir / "tweets.jsonl"),
+                "--wiki-dir", str(datadir / "wiki"),
+                "--config", str(datadir / "config.json"),
+                "--hashtag", "sochi2014", "--hashtag", "randomchat"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main([*argv, "--out", str(out)]) == 0
+        assert printed.encode("utf-8") == out.read_bytes()
+        assert len(printed.splitlines()) == 2
+
     def test_flag_overrides_config_file(self, datadir, tmp_path):
         out = tmp_path / "annotations.jsonl"
         assert main(["annotate", "--tweets", str(datadir / "tweets.jsonl"),
@@ -148,7 +162,7 @@ class TestAnnotate:
 
     def test_requires_wiki_dir(self, datadir, tmp_path, capsys):
         tweets = ["--tweets", str(datadir / "tweets.jsonl")]
-        for argv in (["annotate", *tweets], ["sweep", *tweets, "--sweep-w", "5"]):
+        for argv in (["annotate", *tweets], ["sweep", *tweets, "--set", "w=5"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2  # argparse usage error
@@ -197,6 +211,37 @@ class TestConfigRouting:
         assert config.learner == IPLConfig(mu=0.01, max_iterations=7)
         assert config.lam == 0.5
         assert self.build("--config", path, "--w", "9").burst.w == 9
+
+    # a valid non-default value of every setting
+    VALUES = {
+        "lam": 0.5, "shift_range": 2, "sample_size": 400, "expansion_cap": 9,
+        "seed": 3, "relevance_threshold": 2, "map_cutoff": 10,
+        "n_min": 4, "median_window_days": 31,
+        "trending_fraction_threshold": 2.5, "variance_threshold": 50.0,
+        "min_users": 20, "w": 5,
+        "k": 3, "mu": 0.01, "epsilon": 1e-4, "max_iterations": 7, "tau": 0.5,
+    }
+
+    def test_values_cover_every_setting(self):
+        sections = [PipelineConfig, BurstConfig, IPLConfig]
+        names = {f.name for cls in sections for f in fields(cls)}
+        assert set(self.VALUES) == names - {"burst", "learner"}
+        assert len(self.VALUES) == 18
+
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    def test_flag_and_file_key_agree(self, tmp_path, name):
+        key = "lambda" if name == "lam" else name
+        value = self.VALUES[name]
+        by_flag = self.build("--" + key.replace("_", "-"), str(value))
+        by_key = self.build("--config", self.config_file(tmp_path,
+                                                          {key: value}))
+        assert by_flag == by_key != PipelineConfig()
+
+    def test_invalid_json_file_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"w": 5,', encoding="utf-8")
+        with pytest.raises(SystemExit, match="bad config"):
+            self.build("--config", str(path))
 
     def test_defaults_without_settings(self):
         assert self.build() == PipelineConfig()
@@ -247,6 +292,30 @@ class TestEvaluate:
         assert 0 <= report["macro"]["map"] <= 1
 
 
+    @pytest.mark.parametrize("row,problem", [
+        (b"sochi2014\t2014 Winter Olympics\t\xff\n", "utf-8"),
+        (b"sochi2014\t2014 Winter Olympics\n", "expected 3, got 2"),
+        (b"sochi2014\t2014 Winter Olympics\t3\n", "grade must be"),
+    ], ids=["not-utf8", "two-columns", "grade-3"])
+    def test_bad_gold_row_named(self, tmp_path, row, problem):
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text("", encoding="utf-8")
+        gold = tmp_path / "gold.tsv"
+        gold.write_bytes(b"sochi2014\tSochi\t1\n" + row)
+        where = re.escape(f"{gold}:2: ")
+        with pytest.raises(SystemExit, match=f"bad gold: {where}.*{problem}"):
+            main(["evaluate", "--annotations", str(annotations),
+                  "--gold", str(gold)])
+
+    def test_undecodable_annotation_line_named(self, datadir, tmp_path):
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_bytes(b'{"hashtag": "\xff"}\n')
+        where = re.escape(f"{annotations}:1: ")
+        with pytest.raises(SystemExit, match=f"bad annotations: {where}.*utf-8"):
+            main(["evaluate", "--annotations", str(annotations),
+                  "--gold", str(datadir / "gold.tsv")])
+
+
 class TestSweep:
     def test_window_sizes_reported(self, datadir, tmp_path):
         out = tmp_path / "sweep.json"
@@ -254,7 +323,7 @@ class TestSweep:
                      "--wiki-dir", str(datadir / "wiki"),
                      "--config", str(datadir / "config.json"),
                      "--hashtag", "sochi2014",
-                     "--sweep-w", "5,7",
+                     "--set", "w=5,7",
                      "--gold", str(datadir / "gold.tsv"),
                      "--out", str(out)]) == 0
         report = json.loads(out.read_text(encoding="utf-8"))
@@ -267,5 +336,42 @@ class TestSweep:
         with pytest.raises(SystemExit, match="bad config"):
             main(["sweep", "--tweets", str(datadir / "tweets.jsonl"),
                   "--wiki-dir", str(datadir / "wiki"),
-                  "--sweep-w", "5,0", "--out", str(tmp_path / "sweep.json")])
+                  "--set", "w=5,0", "--out", str(tmp_path / "sweep.json")])
         assert not (tmp_path / "sweep.json").exists()
+
+    @pytest.mark.parametrize("key,values", [
+        ("tau", "0.5,0.85"), ("lambda", "0.2,1"), ("w", "5,7"),
+        ("min_users", "40,60")])
+    def test_each_point_equals_its_flag(self, datadir, monkeypatch, key,
+                                        values):
+        seen = []
+        monkeypatch.setattr(cli, "run_annotate",
+                            lambda corpus, snapshot, config, hashtags:
+                            seen.append(config) or [])
+        common = ["sweep", "--tweets", str(datadir / "tweets.jsonl"),
+                  "--wiki-dir", str(datadir / "wiki"),
+                  "--config", str(datadir / "config.json"), "--seed", "2"]
+        assert main([*common, "--set", f"{key}={values}"]) == 0
+        flag = "--" + key.replace("_", "-")
+        assert seen == [_build_config(build_parser().parse_args(
+            [*common, "--set", "w=1", flag, v])) for v in values.split(",")]
+
+    @pytest.mark.parametrize("sets", [
+        ["w=0"], ["w=7.5"], ["mystery=1"], ["tau=x"], ["w"], ["w=5,"],
+        ["w=5", "tau=0.5"]])
+    def test_bad_set_exits_before_loading(self, datadir, tmp_path,
+                                          monkeypatch, sets):
+        def never(*args, **kwargs):
+            raise AssertionError("an input was loaded")
+
+        monkeypatch.setattr(cli, "load_tweets_jsonl", never)
+        monkeypatch.setattr(cli, "load_snapshot", never)
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", "--tweets", str(datadir / "tweets.jsonl"),
+                "--wiki-dir", str(datadir / "wiki"), "--out", str(out)]
+        for item in sets:
+            argv += ["--set", item]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code not in (0, None)
+        assert not out.exists()

@@ -1,6 +1,7 @@
 """Tweet tokenization, longest-match linking, and candidate building."""
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trendtag.linking as linking
-import trendtag.similarity as similarity
 from trendtag.corpus import load_tweets
 from trendtag.linking import (build_candidates, longest_match, segment_hashtag,
                               tweet_tokens)
@@ -262,6 +262,8 @@ class TestLinkOncePerMention:
         assert seeds == list(provenance.items())  # same keys, same order
         assert [(e, list(c.items())) for e, c in cs.mention_counts.items()] == \
             [(e, list(c.items())) for e, c in mention_counts.items()]
+        assert {m for c in mention_counts.values() for m in c} <= set(cs.priors)
+        assert cs.priors == {m: link_prior(snapshot, m) for m in cs.priors}
         return cs
 
     def test_small_world_matches_reference(self):
@@ -291,7 +293,7 @@ class TestLinkOncePerMention:
         assert set(calls.values()) == {1}
         assert len(cs.sampled_tweet_ids) > len(calls)
 
-    def test_link_prior_at_most_twice_per_distinct_mention(
+    def test_link_prior_once_per_distinct_mention(
             self, monkeypatch, world_corpus, world_snapshot):
         calls = Counter()
 
@@ -299,8 +301,11 @@ class TestLinkOncePerMention:
             calls[mention] += 1
             return link_prior(snapshot, mention, *args, **kwargs)
 
-        monkeypatch.setattr(linking, "link_prior", spy)
-        monkeypatch.setattr(similarity, "link_prior", spy)
+        # every trendtag module that binds link_prior, as the bench tracer does
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("trendtag")
+                    and getattr(module, "link_prior", None) is link_prior):
+                monkeypatch.setattr(module, "link_prior", spy)
         config = PipelineConfig(sample_size=500, seed=1)
         annotation = annotate_hashtag(world_corpus, world_snapshot, "sochi2014",
                                       config, force=True)
@@ -311,4 +316,4 @@ class TestLinkOncePerMention:
             burst, world_corpus, world_snapshot, 500, 1)
         distinct = {m for c in mention_counts.values() for m in c}
         assert set(calls) == distinct
-        assert max(calls.values()) <= 2
+        assert set(calls.values()) == {1}

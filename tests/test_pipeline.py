@@ -80,8 +80,20 @@ class TestEvaluate:
     def test_report_shape(self):
         report = evaluate([annotation("h1", ["B", "A"])], self.gold())
         assert report["hashtags"]["h1"]["ap"] == pytest.approx(0.5)
-        assert report["macro"]["map"] == pytest.approx(0.5)
+        assert report["macro"]["map"] == pytest.approx(0.25)  # h2 scores 0
         assert report["excluded"] == []
+
+    def test_judged_hashtag_without_annotation_counts_as_missing(self):
+        gold = {("a", "A"): 2, ("b", "B"): 2}
+        report = evaluate([annotation("a", ["A"])], gold)
+        assert report["missing"] == ["b"]
+        assert "b" not in report["hashtags"]
+        assert report["macro"] == {"p_at_5": pytest.approx(0.1),
+                                   "p_at_15": pytest.approx(1 / 30),
+                                   "map": pytest.approx(0.5)}
+        both = evaluate([annotation("a", ["A"]), annotation("b", [])], gold)
+        assert both["missing"] == []
+        assert both["macro"]["map"] == pytest.approx(0.5)
 
     def test_unjudged_hashtag_excluded_and_reported(self):
         report = evaluate([annotation("h9", ["A"])], self.gold())
@@ -139,7 +151,7 @@ class TestAnnotateHashtag:
         raw = similarity_components(burst, candidates, world_corpus,
                                     world_snapshot, config)
         graph = build_influence_graph(candidates.entities, world_snapshot)
-        f_m = mention_similarity(candidates, world_snapshot)
+        f_m = mention_similarity(candidates)
         assert raw.shape == (graph.size, 3)
         assert len(set(f_m.values())) > 2  # a permuted row order would show
         assert raw[:, 0].tolist() == [f_m[title] for title in graph.nodes]
@@ -285,7 +297,7 @@ class TestSerialization:
         path = tmp_path / "annotations.jsonl"
         write_annotations(anns, path)
         back = read_annotations(path)
-        assert [a.to_json_obj() for a in back] == [a.to_json_obj() for a in anns]
+        assert [a.to_json_line() for a in back] == [a.to_json_line() for a in anns]
         # serialize -> parse -> serialize is lossless
         write_annotations(back, tmp_path / "again.jsonl")
         assert (tmp_path / "again.jsonl").read_text() == path.read_text()

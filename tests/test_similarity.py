@@ -14,7 +14,7 @@ from trendtag.similarity import (best_shift_scale, context_similarity,
                                  language_model, mention_similarity,
                                  normalize_scores, shifted,
                                  temporal_similarity)
-from trendtag.wiki import build_snapshot
+from trendtag.wiki import build_snapshot, link_prior
 
 
 def grid_best_delta(ts_h, ts_e, q, lo=0.0, hi=5.0, step=1e-3):
@@ -34,30 +34,34 @@ class TestMentionSimilarity:
                    ("games", "Olympics", 7)]
         return build_snapshot(pages, anchors, [], [], [])
 
-    def candidates(self, mention_counts, provenance=None):
+    def candidates(self, mention_counts, provenance=None, snapshot=None):
+        """A candidate set whose priors are link_prior over the snapshot."""
+        snapshot = snapshot or self.snapshot()
         cs = CandidateSet(hashtag="h")
         for e, counts in mention_counts.items():
             cs.mention_counts[e] = Counter(counts)
             cs.provenance[e] = "seed"
+            for m in counts:
+                cs.priors[m] = link_prior(snapshot, m)
         for e, p in (provenance or {}).items():
             cs.provenance[e] = p
         return cs
 
     def test_single_mention(self):
         cs = self.candidates({"City": {"sochi": 5}})
-        fm = mention_similarity(cs, self.snapshot())
+        fm = mention_similarity(cs)
         assert fm["City"] == pytest.approx(0.75)
 
     def test_weighted_combination(self):
         # Olympics: LP(sochi)=0.25 with q=0.6, LP(games)=1.0 with q=0.4
         cs = self.candidates({"Olympics": {"sochi": 6, "games": 4}})
-        fm = mention_similarity(cs, self.snapshot())
+        fm = mention_similarity(cs)
         assert fm["Olympics"] == pytest.approx(0.25 * 0.6 + 1.0 * 0.4)
 
     def test_expansion_only_entity_scores_zero(self):
         cs = self.candidates({"City": {"sochi": 1}},
                              provenance={"Olympics": "expanded-from:City"})
-        fm = mention_similarity(cs, self.snapshot())
+        fm = mention_similarity(cs)
         assert fm["Olympics"] == 0.0
 
     def test_monotone_in_link_prior(self):
@@ -66,8 +70,8 @@ class TestMentionSimilarity:
             pages = [("A", "ARTICLE"), ("B", "ARTICLE")]
             anchors = [("m", "A", count), ("m", "B", 5)]
             snap = build_snapshot(pages, anchors, [], [], [])
-            cs = self.candidates({"A": {"m": 3}})
-            return mention_similarity(cs, snap)["A"]
+            cs = self.candidates({"A": {"m": 3}}, snapshot=snap)
+            return mention_similarity(cs)["A"]
 
         values = [fm_with(c) for c in (1, 3, 10, 50)]
         assert values == sorted(values)
