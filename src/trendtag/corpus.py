@@ -235,13 +235,20 @@ def load_tweets(records: Iterable[dict | None]) -> tuple[TweetCorpus, IngestRepo
 
 def iter_jsonl(path) -> Iterator[dict | None]:
     """The JSON value of each non-blank line; None for a line that is not
-    valid UTF-8 JSON, so the caller counts it and the rest still loads."""
+    valid UTF-8 JSON, so the caller counts it and the rest still loads.
+
+    Lines go straight to the decoder's raw_decode, skipping the checks
+    json.loads wraps around it: the strip has removed the whitespace at
+    both ends, and a value that ends before the line does is trailing data.
+    """
+    decode = json.JSONDecoder().raw_decode
     with open(path, "rb") as fh:
         for raw in fh:
             try:
                 line = raw.decode("utf-8").strip()
                 if line:
-                    yield json.loads(line)
+                    value, end = decode(line)
+                    yield value if end == len(line) else None
             except ValueError:  # not UTF-8, not JSON, or an over-long integer
                 yield None
 

@@ -257,10 +257,15 @@ class TestConfigRouting:
         {"shift_range": -1}, {"lambda": 2}, {"lambda": -0.1},
         {"relevance_threshold": 3}, {"map_cutoff": 0}, {"sample_size": "5"},
         {"tau": 1.5}, {"tau": -0.5}, {"tau": 1}, {"sample_size": 400.5},
-        {"w": 7.5}, {"k": True}, {"tau": False}, [{"w": 5}]])
+        {"w": 7.5}, {"k": True}, {"tau": False}, [{"w": 5}],
+        {"max_iterations": -5}])
     def test_invalid_value_rejected(self, tmp_path, values):
         with pytest.raises(SystemExit, match="bad config"):
             self.build("--config", self.config_file(tmp_path, values))
+
+    def test_negative_max_iterations_flag_rejected(self):
+        with pytest.raises(SystemExit, match="bad config"):
+            self.build("--max-iterations", "-5")
 
     def test_int_fills_a_float_setting(self, tmp_path):
         config = self.build("--config", self.config_file(

@@ -1,8 +1,10 @@
 """Corpus loading, hashtag time series, and burst detection."""
 
 import json
+import tempfile
 from collections import Counter
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +90,23 @@ class TestLoadTweets:
         # 23:30 UTC-5 is the next day in UTC
         assert parse_timestamp("2014-02-09T23:30:00-05:00").date() == date(2014, 2, 10)
 
+    @pytest.mark.parametrize("line", [b'{"id": 1} x', b"{} {}", b"1 2",
+                                      b'["a"],', b'{"id": "b"}}'])
+    def test_trailing_data_counted_as_bad_json(self, tmp_path, line):
+        path = tmp_path / "tweets.jsonl"
+        path.write_bytes(json.dumps(rec("a", 0, "ok")).encode() + b"\n"
+                         + line + b"\n")
+        corpus, report = load_tweets_jsonl(path)
+        assert (report.accepted, report.bad_json, report.rejected) == (1, 1, 1)
+        assert corpus.ids == ["a"]
+
+    def test_surrounding_whitespace_ignored(self, tmp_path):
+        path = tmp_path / "tweets.jsonl"
+        line = json.dumps(rec("a", 0, "ok #x")).encode()
+        path.write_bytes(b"  \t" + line + b" \r\n\n \n")
+        corpus, report = load_tweets_jsonl(path)
+        assert (report.accepted, report.rejected) == (1, 0)
+
 
 FIELDS = ("id", "timestamp", "text", "user_id")
 REJECT_CAUSES = ("bad_json", "missing_field", "bad_timestamp", "bad_text")
@@ -169,6 +188,38 @@ class TestLoaderMatchesRowLoader:
             assert sorted(rows) == [i for i, t in enumerate(tweets.values())
                                     if tag in t.hashtags]
             assert [days[r] for r in rows] == sorted(days[r] for r in rows)
+
+
+# lines that are not a JSON object alone: bad JSON, trailing data, bytes
+# that are not UTF-8, and JSON values of other types
+FAULTY_LINES = st.sampled_from([
+    b"{", b"not json", b'{"id": 1} x', b"{} {}", b"1 2", b"[1, 2", b"\xff\xfe",
+    b'{"id": "z", "timestamp": 0, "text": "\xff", "user_id": "u"}',
+    b'"a string"', b"null", b"[]", b"10",
+])
+BLANK_LINES = st.sampled_from([b"", b" ", b"\t", b" \r"])
+
+
+def jsonl_lines(records):
+    """(line, is_blank) pairs: JSON-dumped records, faulty lines and blank
+    lines, mixed."""
+    return st.lists(st.one_of(
+        records.map(lambda r: (json.dumps(r).encode(), False)),
+        FAULTY_LINES.map(lambda line: (line, False)),
+        BLANK_LINES.map(lambda line: (line, True))), max_size=40)
+
+
+class TestEveryLineCounted:
+    @given(jsonl_lines(RECORDS))
+    @settings(max_examples=150, deadline=None)
+    def test_accepted_duplicates_and_rejects_cover_the_lines(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tweets.jsonl"
+            path.write_bytes(b"\n".join(line for line, _ in lines))
+            corpus, report = load_tweets_jsonl(path)
+        counted = report.accepted + report.duplicates + report.rejected
+        assert counted == sum(not blank for _, blank in lines)
+        assert len(corpus) == report.accepted
 
 
 class TestParseTimestamp:

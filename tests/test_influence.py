@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trendtag.influence as influence
-from trendtag.influence import (InfluenceGraph, IPLConfig, build_influence_graph,
-                                ipl, milne_witten, project_simplex, random_walk,
-                                top_k_indices)
+from trendtag.influence import (InfluenceGraph, IPLConfig, IPLResult, IPLStep,
+                                build_influence_graph, ipl, milne_witten,
+                                project_simplex, random_walk, top_k_indices)
 from trendtag.wiki import build_snapshot
 
 
@@ -63,6 +63,58 @@ def random_distribution(rng, n):
 def walk_columns(graph, f_m, f_c, f_t):
     """The walks ipl() runs, one restarted from each component, as columns."""
     return np.column_stack([random_walk(graph, f)[0] for f in (f_m, f_c, f_t)])
+
+
+def reference_ipl(f_m, f_c, f_t, graph, config):
+    """The learner as a loop of one projected gradient step per iteration,
+    each scored over all nodes: the oracle for ipl()'s runs."""
+    components = np.column_stack([f_m, f_c, f_t])
+    walks = walk_columns(graph, f_m, f_c, f_t)
+    rank = np.empty(graph.size, dtype=np.int64)
+    rank[np.argsort(np.asarray(graph.nodes), kind="stable")] = np.arange(graph.size)
+
+    def score(omega):
+        scores = walks @ omega
+        return components @ omega, scores, top_k_indices(scores, rank, config.k)
+
+    omega = np.full(3, 1.0 / 3.0)
+    fused, scores, top = score(omega)
+    history = []
+    converged = False
+    for step in range(1, config.max_iterations + 1):
+        residual = fused[top] - scores[top]
+        loss = 0.5 * float(residual @ residual)
+        history.append(IPLStep(loss, tuple(top.tolist()), tuple(omega)))
+        if loss < config.epsilon:
+            converged = True
+            break
+        if step < config.max_iterations:
+            gradient = residual @ (components[top] - walks[top])
+            omega = project_simplex(omega - config.mu * gradient)
+            fused, scores, top = score(omega)
+
+    ranking = [(graph.nodes[i], float(scores[i])) for i in top.tolist()]
+    return IPLResult(tuple(float(x) for x in omega), ranking, scores, fused,
+                     history, converged)
+
+
+def assert_matches_reference(f_m, f_c, f_t, graph, config, tol=1e-12):
+    """ipl() takes the reference loop's steps: the same top-k at every
+    step, the same stop and ranking, and weights and scores equal up to
+    float rounding. Returns ipl()'s result."""
+    got = ipl(f_m, f_c, f_t, graph, config)
+    want = reference_ipl(f_m, f_c, f_t, graph, config)
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert [s.top_k for s in got.history] == [s.top_k for s in want.history]
+    assert [e for e, _ in got.ranking] == [e for e, _ in want.ranking]
+    for mine, theirs in zip(got.history, want.history):
+        np.testing.assert_allclose(mine.weights, theirs.weights, rtol=0, atol=tol)
+        assert mine.loss == pytest.approx(theirs.loss, rel=1e-9, abs=1e-15)
+    np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=tol)
+    np.testing.assert_allclose(got.scores, want.scores, rtol=0, atol=tol)
+    np.testing.assert_allclose(got.fused, want.fused, rtol=0, atol=tol)
+    return got
 
 
 class TestMilneWitten:
@@ -462,6 +514,11 @@ class TestIPL:
             if prev.top_k == cur.top_k:
                 assert cur.loss <= prev.loss + 1e-12
 
+    @pytest.mark.parametrize("max_iterations", [-1, -5])
+    def test_negative_max_iterations_rejected(self, max_iterations):
+        with pytest.raises(ValueError, match="max_iterations"):
+            IPLConfig(max_iterations=max_iterations)
+
     def test_unnormalized_components_rejected(self):
         graph = random_graph(random.Random(2), 5)
         f = np.full(5, 0.3)
@@ -551,6 +608,115 @@ class TestIPL:
             assert [e for e, _ in result.ranking] == [graph.nodes[i] for i in top]
 
 
+@st.composite
+def learner_problems(draw):
+    """A graph over 1-60 nodes with ids in shuffled order, built from edge
+    arrays or from a dense matrix and often with dangling nodes; three
+    positive components; and a learner config."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    nodes = tuple(f"e{i:03d}" for i in rng.permutation(n))
+    if draw(st.booleans()):
+        density = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+        matrix = rng.uniform(0.05, 1.0, (n, n)) * (rng.random((n, n)) < density)
+        np.fill_diagonal(matrix, 0.0)
+        sums = matrix.sum(axis=0)
+        dangling = sums == 0
+        matrix[:, ~dangling] /= sums[~dangling]
+        graph = InfluenceGraph.from_matrix(nodes, matrix, dangling)
+    else:
+        # up to 3 out-edges per node to distinct other nodes, in random order
+        degree = rng.integers(0, 4, n) if n > 1 else np.zeros(1, dtype=int)
+        src = np.repeat(np.arange(n), degree)
+        dst = rng.integers(0, max(n - 1, 1), len(src))
+        dst += dst >= src
+        src, dst = np.divmod(np.unique(src * n + dst), n)
+        shuffle = rng.permutation(len(src))
+        src, dst = src[shuffle], dst[shuffle]
+        weight = rng.uniform(0.05, 1.0, len(src))
+        out = np.bincount(src, weights=weight, minlength=n)
+        graph = InfluenceGraph(nodes, src, dst, weight / out[src], out == 0)
+    sharpness = draw(st.sampled_from([1, 4]))
+    f_m, f_c, f_t = (v / v.sum() for v in rng.uniform(1e-3, 1.0, (3, n)) ** sharpness)
+    config = IPLConfig(k=draw(st.integers(1, 20)),
+                       mu=draw(st.sampled_from([0.003, 0.05, 0.5, 5.0])),
+                       epsilon=draw(st.sampled_from([1e-6, 1e-3])),
+                       max_iterations=draw(st.integers(0, 300)))
+    return f_m, f_c, f_t, graph, config
+
+
+def changed_steps(history):
+    """Indices of the steps whose top-k set differs from the step before."""
+    return [i for i in range(1, len(history))
+            if set(history[i].top_k) != set(history[i - 1].top_k)]
+
+
+class TestMatchesReferenceLoop:
+    """ipl() computes runs of steps at once; reference_ipl() takes one step
+    per iteration. They must take the same steps."""
+
+    @given(learner_problems())
+    @settings(deadline=None)
+    def test_random_problems(self, problem):
+        assert_matches_reference(*problem)
+
+    def test_top_set_changes_inside_a_run(self):
+        graph, fm, fc, ft = funnel_graph_and_components()
+        result = assert_matches_reference(
+            fm, fc, ft, graph, IPLConfig(k=2, mu=0.003, epsilon=1e-12,
+                                         max_iterations=400))
+        # stable for well over the first runs' lengths, then changing
+        assert changed_steps(result.history)[0] > 100
+
+    def test_weight_reaches_zero_inside_a_run(self):
+        rng = random.Random(6)
+        n = rng.randint(5, 12)
+        graph = random_graph(rng, n)
+        fm, fc, ft = (random_distribution(rng, n) for _ in range(3))
+        result = assert_matches_reference(
+            fm, fc, ft, graph, IPLConfig(k=3, mu=0.5, epsilon=1e-12,
+                                         max_iterations=200))
+        on_boundary = [i for i, s in enumerate(result.history) if min(s.weights) == 0]
+        assert on_boundary and on_boundary[0] > 50
+        assert not changed_steps(result.history)
+
+    def test_single_node(self):
+        graph = InfluenceGraph.from_matrix(("only",), np.zeros((1, 1)), [True])
+        f = np.array([1.0])
+        result = assert_matches_reference(f, f, f, graph,
+                                          IPLConfig(k=3, epsilon=1e-12))
+        assert result.converged and result.iterations == 1
+
+    @pytest.mark.parametrize("graph", [
+        all_dangling_graph(9),
+        InfluenceGraph.from_matrix([f"c{i}" for i in (4, 0, 3, 1, 2)],
+                                   np.roll(np.eye(5), 1, axis=0),
+                                   np.zeros(5, dtype=bool)),
+    ], ids=["all-dangling", "cycle"])
+    def test_all_scores_tied(self, graph):
+        f = np.full(graph.size, 1.0 / graph.size)
+        result = assert_matches_reference(f, f, f, graph,
+                                          IPLConfig(k=3, epsilon=1e-12))
+        assert [e for e, _ in result.ranking] == sorted(graph.nodes)[:3]
+
+    def test_kth_place_inside_a_tie(self):
+        # six nodes tie at the top for any weights, so T is the three of
+        # them with the lowest ids at every step while the weights move
+        n = 12
+        high = np.arange(n) % 2 == 0
+        components = []
+        for top, rest in [(3.0, 1.0), (2.0, 1.5), (5.0, 0.5)]:
+            v = np.where(high, top, rest)
+            components.append(v / v.sum())
+        graph = all_dangling_graph(n)
+        result = assert_matches_reference(
+            *components, graph, IPLConfig(k=3, mu=0.05, epsilon=1e-15,
+                                          max_iterations=300))
+        assert result.iterations == 300
+        assert {s.top_k for s in result.history} == {(0, 2, 4)}
+        assert max(abs(w - 1 / 3) for w in result.weights) > 1e-3
+
+
 class TestVeryLargeCandidateSet:
     """A candidate set of 15,000 nodes, far above the workloads': a dense
     n x n float matrix of it would take 1.8 GB, so the walk and the
@@ -580,11 +746,42 @@ class TestVeryLargeCandidateSet:
         tracemalloc.start()
         try:
             r, converged = random_walk(graph, f_m)
-            result = ipl(f_m, f_c, f_t, graph, IPLConfig(k=15, max_iterations=3))
+            results = [ipl(f_m, f_c, f_t, graph, IPLConfig(k=15, max_iterations=m))
+                       for m in (3, 500)]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert converged
         assert np.all(r >= 0) and r.sum() == pytest.approx(1.0, abs=1e-9)
-        assert len({e for e, _ in result.ranking}) == 15
+        for result in results:
+            assert len({e for e, _ in result.ranking}) == 15
+        assert peak < n * n * 8 / 100  # under 1% of one dense matrix
+
+    def test_learner_with_the_kth_place_inside_a_wide_tie(self):
+        # no edges, and the top 5,000 nodes get one value from each
+        # component and the rest a lower one: the walk scores of the top
+        # 5,000 tie for any weights, so each run checks T against 4,985
+        # tied rivals at every step
+        n = self.N
+        nodes = tuple(f"e{i:05d}" for i in range(n))
+        no_edges = np.zeros(0, dtype=np.intp)
+        graph = InfluenceGraph(nodes, no_edges, no_edges, np.zeros(0),
+                               np.ones(n, dtype=bool))
+        tied = np.random.default_rng(4).permutation(n)[:5_000]
+        components = []
+        for high, low in [(3.0, 1.0), (2.0, 1.5), (5.0, 0.5)]:
+            v = np.full(n, low)
+            v[tied] = high
+            components.append(v / v.sum())
+        config = IPLConfig(k=15, epsilon=1e-15, max_iterations=500)
+        tracemalloc.start()
+        try:
+            result = ipl(*components, graph, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        want = reference_ipl(*components, graph, config)
+        assert result.iterations == want.iterations == 500
+        assert [e for e, _ in result.ranking] == [e for e, _ in want.ranking]
+        assert [e for e, _ in result.ranking] == sorted(nodes[i] for i in tied)[:15]
         assert peak < n * n * 8 / 100  # under 1% of one dense matrix

@@ -1,7 +1,9 @@
 """Snapshot building, lexicon priors, temporal contexts, and view series."""
 
+import tempfile
 from collections import Counter
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 
 from trendtag.wiki import (added_tokens, build_snapshot, link_prior,
                            load_snapshot, temporal_context, view_series)
+
+from test_corpus import jsonl_lines
 
 
 def snapshot(pages=(), anchors=(), links=(), revisions=(), pageviews=()):
@@ -303,3 +307,30 @@ class TestLoadSnapshot:
         (tmp_path / "pageviews.tsv").write_text("")
         # one anchor to an unknown entity (build) + one bad count (parse)
         assert load_snapshot(tmp_path).report.dropped_anchors == 2
+
+
+REVISIONS = st.one_of(
+    st.fixed_dictionaries({
+        "title": st.sampled_from(["A", "B", "R", "Missing", 5, None, ["A"]]),
+        "timestamp": st.sampled_from([
+            "2014-02-01T00:00:00Z", "2014-02-01T03:00:00-05:00", "2014-02-02",
+            1391990400, 1391990400.5, True, None, "nonsense", 10 ** 20]),
+        "text": st.sampled_from(["x", "x y", "", 5, None])}),
+    st.sampled_from([None, {}, {"title": "A"}, [1, 2], "A", 3]),
+)
+
+
+class TestEveryRevisionLineCounted:
+    @given(jsonl_lines(REVISIONS))
+    @settings(max_examples=150, deadline=None)
+    def test_stored_and_dropped_cover_the_lines(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            (d / "pages.tsv").write_text("A\tARTICLE\nB\tARTICLE\nR\tREDIRECT:A\n")
+            for name in ("anchors.tsv", "links.tsv", "pageviews.tsv"):
+                (d / name).write_text("")
+            (d / "revisions.jsonl").write_bytes(b"\n".join(line for line, _ in lines))
+            snap = load_snapshot(d)
+        stored = sum(len(revs) for revs in snap.revisions.values())
+        assert stored + snap.report.dropped_revisions == \
+            sum(not blank for _, blank in lines)
