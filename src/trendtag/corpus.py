@@ -324,6 +324,8 @@ def detect_bursts(corpus: TweetCorpus, hashtag: str,
     rows = corpus.rows(hashtag)
     if not len(rows):
         return []
+    if not force and len(rows) < config.min_users:
+        return []  # fewer tweets than min_users means fewer distinct users
     series = hashtag_series(corpus, hashtag, corpus.start_day, corpus.end_day)
     if not force:
         if float(np.var(series)) < config.variance_threshold:

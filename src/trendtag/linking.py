@@ -9,7 +9,6 @@ neighbors.
 
 from __future__ import annotations
 
-import functools
 import random
 import re
 from collections import Counter
@@ -17,14 +16,14 @@ from dataclasses import dataclass, field
 
 from .corpus import HashtagBurst, TweetCorpus
 from .influence import milne_witten
-from .wiki import WikiSnapshot, first_word_lengths, link_prior
+from .wiki import WikiSnapshot, key_prefixes, link_prior
 
 MAX_NGRAM = 5
 
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
 _AT_MENTION_RE = re.compile(r"@\w+")
 _EMOTICON_RE = re.compile(r"""[:;=8][\-o^']?[)(\][dDpPoO/\\|*]""")
-_TOKEN_RE = re.compile(r"#?\w+")
+_TOKEN_RE = re.compile(r"#?\w+|\n")  # a raw word, or the barrier between texts
 
 
 def segment_hashtag(body: str, vocab) -> list[str]:
@@ -51,56 +50,67 @@ def tweet_tokens(text: str, vocab=frozenset()) -> list[str]:
 
     Hashtags lose their '#' and their bodies are segmented against vocab.
     """
-    return _tokenize(text, functools.partial(segment_hashtag, vocab=vocab))
+    return sample_tokens([text], vocab)
 
 
-def _tokenize(text: str, segment) -> list[str]:
-    """tweet_tokens with the hashtag segmenter passed in as segment(body)."""
+def sample_tokens(texts, vocab=frozenset()) -> list[str]:
+    """tweet_tokens of each text in turn, with a "\n" token between texts.
+
+    The texts are cleaned and split as one string. None of the patterns
+    matches a newline, so once each text's own newlines are spaces no
+    match spans two texts. Each distinct raw word is mapped to its tokens
+    once, so a hashtag body is segmented once per call.
+    """
+    text = "\n".join(t.replace("\n", " ") for t in texts)
     text = _URL_RE.sub(" ", text)
     text = _AT_MENTION_RE.sub(" ", text)
     text = _EMOTICON_RE.sub(" ", text)
+    words: dict[str, list[str]] = {"\n": ["\n"]}
     tokens: list[str] = []
-    for raw in _TOKEN_RE.findall(text):
-        if raw.startswith("#"):
-            tokens.extend(segment(raw[1:]))
-        else:
-            tokens.append(raw.lower())
+    for match in _TOKEN_RE.finditer(text):
+        raw = match[0]
+        parts = words.get(raw)
+        if parts is None:
+            parts = words[raw] = (segment_hashtag(raw[1:], vocab)
+                                  if raw[0] == "#" else [raw.lower()])
+        tokens += parts
     return tokens
 
 
 def longest_match(tokens: list[str], lexicon, max_n: int = MAX_NGRAM,
-                  first_words: dict[str, int] | None = None
+                  prefixes: dict[str, str | None] | None = None
                   ) -> list[tuple[str, int]]:
-    """Longest-match scan: at each position try n-grams from max_n down to 1.
+    """Longest-match scan: at each position take the longest n-gram
+    (n <= max_n) that is a lexicon key, then resume after it; a matched
+    span is not re-matched at smaller n. Returns (mention, start index)
+    pairs in scan order.
 
-    The first n-gram present in the lexicon is taken and the scan resumes
-    after it; a matched span is not re-matched at smaller n. Returns
-    (mention, start index) pairs in scan order.
-
-    first_words (see wiki.first_word_lengths) caps n at the most words of
-    a key starting with the token, so a token that starts no key is passed
-    over at once. The cap drops only n-grams that cannot match, as long as
-    no token contains a space. When None it is built from the lexicon, a
-    pass over all keys: callers scanning many tweets pass it in.
+    A gram grows one token at a time while it is a word prefix of some
+    key (see wiki.key_prefixes), so a token that starts no key, such as
+    the "\n" between two texts of sample_tokens, ends every gram. This
+    finds every match as long as no token contains a space. prefixes is
+    built from the lexicon when None, a pass over all keys: callers
+    scanning many texts pass it in.
     """
-    if first_words is None:
-        first_words = first_word_lengths(lexicon)
+    if prefixes is None:
+        prefixes = key_prefixes(lexicon)
+    get = prefixes.get
     matches: list[tuple[str, int]] = []
     end = len(tokens)
     i = 0
     while i < end:
-        longest = first_words.get(tokens[i])
-        if longest is None:
-            i += 1
-            continue
-        for n in range(min(max_n, longest, end - i), 0, -1):
-            gram = " ".join(tokens[i:i + n])
-            if gram in lexicon:
-                matches.append((gram, i))
-                i += n
+        gram, j = tokens[i], i
+        mention, after = None, i + 1
+        while (key := get(gram, False)) is not False:  # False: starts no key
+            if key is not None:
+                mention, after = key, j + 1
+            j += 1
+            if j == end or j - i == max_n:
                 break
-        else:
-            i += 1
+            gram = f"{gram} {tokens[j]}"
+        if mention is not None:
+            matches.append((mention, i))
+        i = after
     return matches
 
 
@@ -153,16 +163,12 @@ def build_candidates(burst: HashtagBurst, corpus: TweetCorpus,
         ids = sorted(random.Random(seed).sample(ids, sample_size))
     result.sampled_tweet_ids = tuple(ids)
 
-    vocab = snapshot.unigram_vocab
-    first_words = snapshot.first_word_lengths
-    # every sampled tweet carries the burst's hashtag: segment each body once
-    segment = functools.cache(functools.partial(segment_hashtag, vocab=vocab))
-    mentions: Counter = Counter()
-    for tid in ids:
-        tokens = _tokenize(corpus.text(tid), segment)
-        result.sample_token_counts.update(tokens)
-        mentions.update(m for m, _ in longest_match(tokens, snapshot.lexicon,
-                                                     first_words=first_words))
+    # one pass over the whole sample; no match crosses the "\n" barriers
+    tokens = sample_tokens(map(corpus.text, ids), snapshot.unigram_vocab)
+    result.sample_token_counts = Counter(tokens)
+    result.sample_token_counts.pop("\n", None)
+    mentions = Counter(m for m, _ in longest_match(
+        tokens, snapshot.lexicon, prefixes=snapshot.key_prefixes))
     # Distinct mentions in first-seen order: entities and each entity's
     # mentions are inserted in the order a per-occurrence scan would use.
     for mention, count in mentions.items():

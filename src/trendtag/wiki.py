@@ -79,21 +79,23 @@ class WikiSnapshot:
         return frozenset(w for key in self.lexicon for w in key.split())
 
     @cached_property
-    def first_word_lengths(self) -> dict[str, int]:
-        """First word of each lexicon key -> most words of a key starting
-        with it; bounds the n-grams the longest-match scan tries."""
-        return first_word_lengths(self.lexicon)
+    def key_prefixes(self) -> dict[str, str | None]:
+        """Each word prefix of a lexicon key -> that key when it is one;
+        drives the longest-match scan."""
+        return key_prefixes(self.lexicon)
 
 
-def first_word_lengths(keys) -> dict[str, int]:
-    """Map the first word of each key to the most words of any key
-    starting with it (words are separated by single spaces)."""
-    lengths: dict[str, int] = {}
+def key_prefixes(keys) -> dict[str, str | None]:
+    """Map every word prefix of each key (words are separated by single
+    spaces) to the key's own string when the prefix is itself a key, and
+    to None when it only starts one."""
+    prefixes: dict[str, str | None] = {key: key for key in keys}
     for key in keys:
-        words = key.split(" ")
-        if len(words) > lengths.get(words[0], 0):
-            lengths[words[0]] = len(words)
-    return lengths
+        i = key.find(" ")
+        while i != -1:
+            prefixes.setdefault(key[:i], None)
+            i = key.find(" ", i + 1)
+    return prefixes
 
 
 def _resolve_all(kinds: dict[str, str], redirects: dict[str, str]):
@@ -129,14 +131,17 @@ def build_snapshot(pages: Iterable[tuple[str, str]],
 
     Disambiguation and list pages are excluded from the entity space, but
     disambiguation titles contribute lexicon entries pointing to the
-    entities their pages link to. Drops are added to `report` (a fresh one
-    when None), so a caller can pass in the rows it skipped while parsing.
+    entities their pages link to. A title listed twice keeps its first
+    row. Drops are added to `report` (a fresh one when None), so a caller
+    can pass in the rows it skipped while parsing.
     """
     report = report if report is not None else BuildReport()
     kinds: dict[str, str] = {}
     redirects: dict[str, str] = {}
     for title, flags in pages:
-        if flags.startswith("REDIRECT:"):
+        if title in kinds or title in redirects:
+            report.dropped_pages += 1  # a repeated title keeps its first row
+        elif flags.startswith("REDIRECT:"):
             redirects[title] = flags.split(":", 1)[1]
         else:
             kinds[title] = flags

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import trendtag.corpus as corpus_module
 from trendtag.corpus import (BurstConfig, Tweet, detect_bursts,
                              extract_hashtags, hashtag_series, load_tweets,
                              load_tweets_jsonl,
@@ -426,6 +427,35 @@ class TestDetectBursts:
         expected = sum(1 for t in tweets if "tag" in t.hashtags
                        and burst.window_start <= t.day <= burst.window_end)
         assert len(burst.tweet_ids) == expected
+
+    @pytest.fixture
+    def series_calls(self, monkeypatch):
+        calls = []
+
+        def spy(corpus, hashtag, *args):
+            calls.append(hashtag)
+            return hashtag_series(corpus, hashtag, *args)
+
+        monkeypatch.setattr(corpus_module, "hashtag_series", spy)
+        return calls
+
+    def test_fewer_tweets_than_min_users_rejected_before_series(self, series_calls):
+        corpus = corpus_from_series([0] * 10 + [19] + [0] * 10, users_per_day=19)
+        assert detect_bursts(corpus, "tag", spike_config(min_users=20)) == []
+        assert series_calls == []
+        bursts = detect_bursts(corpus, "tag", spike_config(min_users=20), force=True)
+        assert bursts[0].peak_day == DAY0 + timedelta(days=10)
+        assert series_calls == ["tag"]
+
+    @pytest.mark.parametrize("users_per_day,variance_threshold,trending", [
+        (20, 1.0, True), (19, 1.0, False), (20, 1000.0, False)])
+    def test_min_users_tweets_reach_variance_and_user_filters(
+            self, series_calls, users_per_day, variance_threshold, trending):
+        corpus = corpus_from_series([0] * 10 + [20] + [0] * 10,
+                                    users_per_day=users_per_day)
+        config = spike_config(min_users=20, variance_threshold=variance_threshold)
+        assert bool(detect_bursts(corpus, "tag", config)) == trending
+        assert series_calls == ["tag"]
 
     @given(st.lists(st.integers(min_value=0, max_value=60), min_size=3,
                     max_size=40))

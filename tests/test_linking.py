@@ -1,6 +1,7 @@
 """Tweet tokenization, longest-match linking, and candidate building."""
 
 import random
+import re
 import sys
 from collections import Counter
 
@@ -10,11 +11,11 @@ from hypothesis import strategies as st
 
 import trendtag.linking as linking
 from trendtag.corpus import load_tweets
-from trendtag.linking import (build_candidates, longest_match, segment_hashtag,
-                              tweet_tokens)
+from trendtag.linking import (build_candidates, longest_match, sample_tokens,
+                              segment_hashtag, tweet_tokens)
 from trendtag.corpus import detect_bursts, BurstConfig
 from trendtag.pipeline import PipelineConfig, annotate_hashtag
-from trendtag.wiki import build_snapshot, first_word_lengths, link_prior
+from trendtag.wiki import build_snapshot, key_prefixes, link_prior
 
 
 def brute_force_match(tokens, lexicon, max_n=5):
@@ -35,6 +36,65 @@ def brute_force_match(tokens, lexicon, max_n=5):
         else:
             i += 1
     return matches
+
+
+_URL_RE = re.compile(r"https?://\S+|www\.\S+")
+_AT_MENTION_RE = re.compile(r"@\w+")
+_EMOTICON_RE = re.compile(r"""[:;=8][\-o^']?[)(\][dDpPoO/\\|*]""")
+_WORD_RE = re.compile(r"#?\w+")
+
+
+def reference_tokens(text, vocab):
+    """Reference tokenizer: one tweet at a time, each hashtag body
+    segmented where it occurs."""
+    text = _URL_RE.sub(" ", text)
+    text = _AT_MENTION_RE.sub(" ", text)
+    text = _EMOTICON_RE.sub(" ", text)
+    tokens = []
+    for raw in _WORD_RE.findall(text):
+        if raw.startswith("#"):
+            tokens.extend(segment_hashtag(raw[1:], vocab))
+        else:
+            tokens.append(raw.lower())
+    return tokens
+
+
+def split_at_barrier(tokens):
+    texts = [[]]
+    for token in tokens:
+        if token == "\n":
+            texts.append([])
+        else:
+            texts[-1].append(token)
+    return texts
+
+
+TEXT_PIECES = ["\n", "\r\n", " ", "\t", "http://x.co/a", "https://y.z/b?c=d",
+               "www.w.org", "@x", "@bob_2", ":)", ":-(", ";P", "8)", "=|", "##a",
+               "#", "#Sochi2014", "#stra\u00dfe", "\u0130stanbul", "\u00df",
+               "Stra\u00dfe", "so", "chi", "a", "new york", "x:", "-"]
+
+
+# the equivalence properties run at least this many examples, and more under
+# `pytest --hypothesis-profile=ci`
+EXAMPLES = max(300, settings.default.max_examples)
+
+
+class TestSampleTokens:
+    @given(st.lists(st.lists(st.one_of(st.sampled_from(TEXT_PIECES),
+                                       st.text(max_size=3)),
+                             max_size=12).map("".join),
+                    min_size=1, max_size=6),
+           st.sets(st.sampled_from(["a", "so", "chi", "sochi", "2014", "stra",
+                                    "\u00df", "e", "i\u0307stanbul"])))
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_equals_per_text_reference(self, texts, vocab):
+        assert split_at_barrier(sample_tokens(texts, vocab)) == \
+            [reference_tokens(text, vocab) for text in texts]
+
+    def test_barrier_between_texts_only(self):
+        assert sample_tokens(["a\nb #so", "", "c"], {"so"}) == \
+            ["a", "b", "so", "\n", "\n", "c"]
 
 
 class TestTweetTokens:
@@ -100,12 +160,15 @@ class TestLongestMatch:
                 brute_force_match(tokens, lexicon)
 
 
-class TestFirstWordIndex:
-    def test_longest_key_per_first_word(self):
-        keys = {"new york city", "new york", "york", "a b c d e f g", "a"}
-        assert first_word_lengths(keys) == {"new": 3, "york": 1, "a": 7}
+class TestKeyPrefixes:
+    def test_every_word_prefix_maps_to_its_key_or_none(self):
+        keys = {"new york city", "new york", "york", "a b c", "a"}
+        assert key_prefixes(keys) == {
+            "new york city": "new york city", "new york": "new york",
+            "new": None, "york": "york", "a b c": "a b c", "a b": None,
+            "a": "a"}
 
-    def test_random_instances_with_index_match_brute_force(self):
+    def test_random_instances_with_prefixes_match_brute_force(self):
         rng = random.Random(7)
         alphabet = ["a", "b", "c", "d", "e", "f"]
         for _ in range(1000):
@@ -115,25 +178,33 @@ class TestFirstWordIndex:
                 n = rng.randint(1, 8)  # keys longer than max_n too
                 lexicon.add(" ".join(rng.choice(alphabet) for _ in range(n)))
             max_n = rng.randint(1, 6)
-            index = first_word_lengths(lexicon)
+            prefixes = key_prefixes(lexicon)
             expected = brute_force_match(tokens, lexicon, max_n)
-            assert longest_match(tokens, lexicon, max_n, index) == expected
+            assert longest_match(tokens, lexicon, max_n, prefixes) == expected
             assert longest_match(tokens, lexicon, max_n) == expected
 
     @given(st.lists(st.sampled_from(["x", "y", "z", "xy", ""]), max_size=12),
            st.sets(st.lists(st.sampled_from(["x", "y", "z", "xy", ""]),
                             min_size=1, max_size=7).map(" ".join), max_size=12),
            st.integers(min_value=1, max_value=6))
-    @settings(max_examples=200, deadline=None)
-    def test_property_index_matches_brute_force(self, tokens, lexicon, max_n):
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_property_prefixes_match_brute_force(self, tokens, lexicon, max_n):
         assert longest_match(tokens, lexicon, max_n,
-                             first_word_lengths(lexicon)) == \
+                             key_prefixes(lexicon)) == \
             brute_force_match(tokens, lexicon, max_n)
 
-    def test_snapshot_index_built_once(self, world_snapshot):
-        index = world_snapshot.first_word_lengths
-        assert index is world_snapshot.first_word_lengths
-        assert index == first_word_lengths(world_snapshot.lexicon)
+    def test_snapshot_prefixes_built_once(self, world_snapshot):
+        prefixes = world_snapshot.key_prefixes
+        assert prefixes is world_snapshot.key_prefixes
+        assert prefixes == key_prefixes(world_snapshot.lexicon)
+        # a matched mention is the lexicon's own key string, not a copy
+        lexicon_keys = {id(k) for k in world_snapshot.lexicon}
+        assert all(id(prefixes[k]) in lexicon_keys for k in world_snapshot.lexicon)
+
+    def test_no_match_crosses_the_barrier(self):
+        lexicon = {"new york", "new", "york"}
+        assert longest_match(["new", "\n", "york"], lexicon) == \
+            [("new", 0), ("york", 2)]
 
 
 def reference_candidates(burst, corpus, snapshot, sample_size, seed):
@@ -144,7 +215,7 @@ def reference_candidates(burst, corpus, snapshot, sample_size, seed):
         ids = sorted(random.Random(seed).sample(ids, sample_size))
     provenance, mention_counts, token_counts = {}, {}, Counter()
     for tid in ids:
-        tokens = tweet_tokens(corpus.get(tid).text, snapshot.unigram_vocab)
+        tokens = reference_tokens(corpus.get(tid).text, snapshot.unigram_vocab)
         token_counts.update(tokens)
         for mention, _ in brute_force_match(tokens, snapshot.lexicon):
             for entity, prior in link_prior(snapshot, mention).items():

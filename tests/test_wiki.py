@@ -96,6 +96,19 @@ class TestBuildSnapshot:
         assert snap.report.dropped_pages >= 2
         assert dict(snap.lexicon["c"]) == {"C": 2}
 
+    @pytest.mark.parametrize("rows, entities", [
+        ([("A", "ARTICLE"), ("A", "REDIRECT:B")], {"A", "B"}),
+        ([("A", "REDIRECT:B"), ("A", "ARTICLE")], {"B"}),
+        ([("A", "ARTICLE"), ("A", "DISAMBIG")], {"A", "B"})])
+    def test_repeated_title_keeps_first_row(self, rows, entities):
+        snap = snapshot(pages=rows + [("B", "ARTICLE")],
+                        anchors=[("x", "A", 2)])
+        assert snap.report.dropped_pages == 1
+        assert snap.entities == frozenset(entities)
+        first = "A" if rows[0][1] == "ARTICLE" else "B"
+        assert dict(snap.lexicon["x"]) == {first: 2}
+        assert dict(snap.lexicon["a"]) == {first: 1}
+
     def test_dangling_reference_dropped(self):
         snap = snapshot(pages=[("A", "ARTICLE")],
                         anchors=[("x", "Missing", 2)],
