@@ -49,16 +49,24 @@ def _build_config(args, **override) -> PipelineConfig:
         sections = {section: cls(**grouped[section])
                     for section, cls in _SECTIONS.items()}
         return PipelineConfig(**grouped[None], **sections)
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(f"bad config: {exc}") from exc
+    except (TypeError, ValueError, OSError) as exc:
+        raise SystemExit(f"bad config: {_reason(exc)}") from exc
+
+
+def _reason(exc: Exception) -> str:
+    """The message of exc; for a file error, `path: reason`."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"{exc.filename}: {exc.strerror}"
+    return str(exc)
 
 
 def _or_exit(what: str, parse, *args):
-    """parse(*args), a ValueError ending the command with a message."""
+    """parse(*args), a ValueError or a file error ending the command with
+    a message."""
     try:
         return parse(*args)
-    except ValueError as exc:
-        raise SystemExit(f"bad {what}: {exc}") from exc
+    except (ValueError, OSError) as exc:
+        raise SystemExit(f"bad {what}: {_reason(exc)}") from exc
 
 
 def _emit(text: str, out) -> None:
@@ -70,7 +78,7 @@ def _emit(text: str, out) -> None:
 
 
 def _load_corpus(args):
-    corpus, report = load_tweets_jsonl(args.tweets)
+    corpus, report = _or_exit("tweets", load_tweets_jsonl, args.tweets)
     for cause, count in asdict(report).items():
         if count and cause != "accepted":
             log.warning("%d tweet records skipped: %s", count,
@@ -79,7 +87,7 @@ def _load_corpus(args):
 
 
 def cmd_ingest(args) -> int:
-    snapshot = load_snapshot(args.wiki_dir)
+    snapshot = _or_exit("wiki-dir", load_snapshot, args.wiki_dir)
     print(f"entities: {snapshot.entity_count}")
     print(f"lexicon surface forms: {len(snapshot.lexicon)}")
     print(f"entities with revisions: {len(snapshot.revisions)}")
@@ -107,7 +115,7 @@ def cmd_bursts(args) -> int:
 def cmd_annotate(args) -> int:
     config = _build_config(args)
     corpus = _load_corpus(args)
-    snapshot = load_snapshot(args.wiki_dir)
+    snapshot = _or_exit("wiki-dir", load_snapshot, args.wiki_dir)
     annotations = run_annotate(corpus, snapshot, config, args.hashtag)
     if args.out:
         write_annotations(annotations, args.out)
@@ -140,7 +148,7 @@ def cmd_sweep(args) -> int:
     points = {str(v): _build_config(args, **{key: v}) for v in values}
     gold = _or_exit("gold", load_gold, args.gold) if args.gold else None
     corpus = _load_corpus(args)
-    snapshot = load_snapshot(args.wiki_dir)
+    snapshot = _or_exit("wiki-dir", load_snapshot, args.wiki_dir)
     sweep_report = {}
     for point, config in points.items():
         annotations = list(run_annotate(corpus, snapshot, config, args.hashtag))

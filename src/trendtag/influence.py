@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import check_field_types
-from .wiki import WikiSnapshot
+from .wiki import WikiSnapshot, gather
 
 WALK_TOL = 1e-10
 WALK_MAX_ITER = 200
@@ -33,24 +33,44 @@ CHECK_BUDGET = 1 << 16
 SHORTEST_RUN = 4
 
 
-def milne_witten(e1: str, e2: str, snapshot: WikiSnapshot) -> float:
-    """In-link overlap relatedness of two entities, clamped to [0, 1].
+def milne_witten(a, b, snapshot: WikiSnapshot):
+    """In-link overlap relatedness, clamped to [0, 1]: of two entities
+    given by title, as a float, or of each pair (a[k], b[k]) of two
+    equal-length code arrays (either side may be one code), as an array.
 
-    Degenerate cases (empty in-link sets, empty intersection, corpus not
-    larger than the bigger in-link set) return 0.
+    Degenerate cases (an empty in-link list, an empty intersection, a
+    corpus not larger than the bigger in-link list) give 0. Each pair
+    costs the length of its smaller in-link list: each of those links is
+    looked up in the other entity's list through snapshot.in_key. The
+    logs come from snapshot.log_table, so every value equals the scalar
+    formula's math.log arithmetic bit for bit.
     """
-    i1 = snapshot.incoming(e1)
-    i2 = snapshot.incoming(e2)
-    inter = len(i1 & i2)
-    lo, hi = sorted((len(i1), len(i2)))
+    titles = isinstance(a, str)
+    if titles:
+        if a not in snapshot.code or b not in snapshot.code:
+            return 0.0
+        a, b = snapshot.code[a], snapshot.code[b]
+    a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=np.int64)),
+                               np.atleast_1d(np.asarray(b, dtype=np.int64)))
+    ptr = snapshot.in_ptr
+    size_a = ptr[a + 1] - ptr[a]
+    size_b = ptr[b + 1] - ptr[b]
+    a_smaller = size_a <= size_b
+    lo = np.where(a_smaller, size_a, size_b)
+    hi = np.where(a_smaller, size_b, size_a)
+    linkers, pair = gather(ptr, snapshot.in_src, np.where(a_smaller, a, b))
     total = snapshot.entity_count
-    if inter == 0 or lo == 0 or total <= hi:
-        return 0.0
-    denom = math.log(total) - math.log(lo)
-    if denom <= 0:
-        return 0.0
-    mw = 1.0 - (math.log(hi) - math.log(inter)) / denom
-    return min(max(mw, 0.0), 1.0)
+    wanted = np.where(a_smaller, b, a)[pair] * total + linkers
+    key = snapshot.in_key
+    at = np.minimum(np.searchsorted(key, wanted), len(key) - 1)
+    inter = np.bincount(pair[key[at] == wanted], minlength=len(a))
+    log = snapshot.log_table
+    denom = log[total] - log[lo]
+    ok = (inter > 0) & (lo > 0) & (total > hi) & (denom > 0)
+    mw = np.zeros(len(a))
+    mw[ok] = 1.0 - (log[hi[ok]] - log[inter[ok]]) / denom[ok]
+    mw = np.clip(mw, 0.0, 1.0)
+    return float(mw[0]) if titles else mw
 
 
 @dataclass
@@ -120,26 +140,23 @@ def build_influence_graph(entities, snapshot: WikiSnapshot) -> InfluenceGraph:
     n = len(nodes)
     if n == 0:
         raise ValueError("candidate set is empty")
-    idx = {e: i for i, e in enumerate(nodes)}
-    src: list[int] = []
-    dst: list[int] = []
-    weight: list[float] = []
-    for i, e in enumerate(nodes):
-        # influence out-neighbors of e: candidates whose articles link to e
-        for linker in sorted(snapshot.incoming(e)):
-            j = idx.get(linker)
-            if j is not None and j != i:
-                mw = milne_witten(e, linker, snapshot)
-                if mw > 0:
-                    src.append(i)
-                    dst.append(j)
-                    weight.append(mw)
-    src_a = np.array(src, dtype=np.intp)
-    weight_a = np.array(weight, dtype=float)
-    sums = np.bincount(src_a, weights=weight_a, minlength=n)
+    code = snapshot.code
+    # the nodes in the snapshot, by node index and by code; both ascend,
+    # as codes follow title order
+    at = np.array([i for i, e in enumerate(nodes) if e in code], dtype=np.intp)
+    codes = np.array([code[nodes[i]] for i in at], dtype=np.int64)
+    # influence out-neighbors of each node: candidates whose articles link
+    # to it, found by position in codes
+    linkers, linked = gather(snapshot.in_ptr, snapshot.in_src, codes)
+    linker = np.minimum(np.searchsorted(codes, linkers), len(codes) - 1)
+    keep = (codes[linker] == linkers) & (linker != linked)
+    linked, linker = linked[keep], linker[keep]
+    mw = milne_witten(codes[linked], codes[linker], snapshot)
+    related = mw > 0
+    src, dst, weight = at[linked[related]], at[linker[related]], mw[related]
+    sums = np.bincount(src, weights=weight, minlength=n)
     dangling = sums <= 0
-    return InfluenceGraph(nodes, src_a, np.array(dst, dtype=np.intp),
-                          weight_a / sums[src_a], dangling)
+    return InfluenceGraph(nodes, src, dst, weight / sums[src], dangling)
 
 
 def random_walk(graph: InfluenceGraph, s: np.ndarray,

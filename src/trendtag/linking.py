@@ -14,9 +14,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .corpus import HashtagBurst, TweetCorpus
 from .influence import milne_witten
-from .wiki import WikiSnapshot, key_prefixes, link_prior
+from .wiki import WikiSnapshot, distinct, gather, key_prefixes, link_prior
 
 MAX_NGRAM = 5
 
@@ -178,10 +180,23 @@ def build_candidates(burst: HashtagBurst, corpus: TweetCorpus,
                 result.provenance[entity] = "seed"
                 result.mention_counts.setdefault(entity, Counter())[mention] = count
 
-    for entity in result.seeds:
-        neighbors = sorted(snapshot.neighbors(entity) - {entity})
-        ranked = sorted(neighbors,
-                        key=lambda nb: (-milne_witten(entity, nb, snapshot), nb))
-        for nb in ranked[:expansion_cap]:
-            result.provenance.setdefault(nb, f"expanded-from:{entity}")
+    # (seed, neighbor) pairs: each seed's in- and out-links, less itself,
+    # ranked by relatedness, then by code (title order), per seed
+    seeds = result.seeds
+    codes = np.array([snapshot.code[e] for e in seeds], dtype=np.int64)
+    n = snapshot.entity_count
+    ins, in_seed = gather(snapshot.in_ptr, snapshot.in_src, codes)
+    outs, out_seed = gather(snapshot.out_ptr, snapshot.out_dst, codes)
+    pairs = distinct(np.concatenate([in_seed, out_seed]) * n
+                     + np.concatenate([ins, outs]))
+    seed, neighbor = pairs // n, pairs % n
+    other = neighbor != codes[seed]
+    seed, neighbor = seed[other], neighbor[other]
+    mw = milne_witten(codes[seed], neighbor, snapshot)
+    order = np.lexsort((neighbor, -mw, seed))  # seed stays sorted
+    seed, neighbor = seed[order], neighbor[order]
+    kept = np.arange(len(seed)) - np.searchsorted(seed, seed) < expansion_cap
+    origins = [f"expanded-from:{e}" for e in seeds]
+    for s, nb in zip(seed[kept].tolist(), neighbor[kept].tolist()):
+        result.provenance.setdefault(snapshot.entities[nb], origins[s])
     return result

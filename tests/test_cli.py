@@ -68,8 +68,31 @@ class TestIngest:
         assert TARGET in snapshot.entities
 
     def test_missing_directory_fails(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(SystemExit, match="bad wiki-dir: .*No such file"):
             main(["ingest", "--wiki-dir", str(tmp_path / "nope")])
+
+
+class TestMissingInputPath:
+    @pytest.mark.parametrize("flag", ["--config", "--tweets", "--wiki-dir",
+                                      "--annotations", "--gold"])
+    def test_named_in_the_exit_message(self, datadir, tmp_path, flag):
+        annotations = tmp_path / "annotations.jsonl"
+        annotations.write_text("", encoding="utf-8")
+        inputs = {"--config": datadir / "config.json",
+                  "--tweets": datadir / "tweets.jsonl",
+                  "--wiki-dir": datadir / "wiki",
+                  "--annotations": annotations,
+                  "--gold": datadir / "gold.tsv"}
+        missing = tmp_path / "missing"
+        inputs[flag] = missing
+        command = (["evaluate", "--annotations", "--gold"]
+                   if flag in ("--annotations", "--gold")
+                   else ["annotate", "--config", "--tweets", "--wiki-dir"])
+        argv = command[:1] + [arg for f in command[1:]
+                              for arg in (f, str(inputs[f]))]
+        what = re.escape(f"bad {flag[2:]}: {missing}")
+        with pytest.raises(SystemExit, match=f"^{what}.*: No such file"):
+            main(argv)
 
 
 class TestBursts:

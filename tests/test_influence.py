@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from datetime import date
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ import trendtag.influence as influence
 from trendtag.influence import (InfluenceGraph, IPLConfig, IPLResult, IPLStep,
                                 build_influence_graph, ipl, milne_witten,
                                 project_simplex, random_walk, top_k_indices)
+from trendtag.corpus import HashtagBurst, load_tweets
+from trendtag.linking import build_candidates
 from trendtag.wiki import build_snapshot
 
 
@@ -785,3 +788,184 @@ class TestVeryLargeCandidateSet:
         assert [e for e, _ in result.ranking] == [e for e, _ in want.ranking]
         assert [e for e, _ in result.ranking] == sorted(nodes[i] for i in tied)[:15]
         assert peak < n * n * 8 / 100  # under 1% of one dense matrix
+
+
+# The link-graph code as it was before entity codes: in-link title sets,
+# one relatedness call per pair, a graph built node by node and an
+# expansion ranked seed by seed. The array code must match it exactly.
+
+def reference_link_sets(entities, links):
+    """In- and out-link title sets of the rows between two entities,
+    without self-links; a repeated row is merged."""
+    in_links, out_links = {}, {}
+    for s, d in links:
+        if s in entities and d in entities and s != d:
+            out_links.setdefault(s, set()).add(d)
+            in_links.setdefault(d, set()).add(s)
+    return ({e: frozenset(v) for e, v in in_links.items()},
+            {e: frozenset(v) for e, v in out_links.items()})
+
+
+def reference_milne_witten(e1, e2, in_links, total):
+    i1 = in_links.get(e1, frozenset())
+    i2 = in_links.get(e2, frozenset())
+    inter = len(i1 & i2)
+    lo, hi = sorted((len(i1), len(i2)))
+    if inter == 0 or lo == 0 or total <= hi:
+        return 0.0
+    denom = math.log(total) - math.log(lo)
+    if denom <= 0:
+        return 0.0
+    mw = 1.0 - (math.log(hi) - math.log(inter)) / denom
+    return min(max(mw, 0.0), 1.0)
+
+
+def reference_graph(entities, in_links, total):
+    """(nodes, src, dst, weight, dangling) of the per-node graph builder."""
+    nodes = tuple(sorted(set(entities)))
+    idx = {e: i for i, e in enumerate(nodes)}
+    src, dst, weight = [], [], []
+    for i, e in enumerate(nodes):
+        for linker in sorted(in_links.get(e, ())):
+            j = idx.get(linker)
+            if j is not None and j != i:
+                mw = reference_milne_witten(e, linker, in_links, total)
+                if mw > 0:
+                    src.append(i)
+                    dst.append(j)
+                    weight.append(mw)
+    src_a = np.array(src, dtype=np.intp)
+    weight_a = np.array(weight, dtype=float)
+    sums = np.bincount(src_a, weights=weight_a, minlength=len(nodes))
+    return (nodes, src_a, np.array(dst, dtype=np.intp),
+            weight_a / sums[src_a], sums <= 0)
+
+
+def reference_expansion(provenance, in_links, out_links, total, cap):
+    """The seeds of provenance, each followed by its expansion in turn."""
+    expanded = {e: p for e, p in provenance.items() if p == "seed"}
+    for seed in sorted(expanded):
+        neighbors = (in_links.get(seed, frozenset())
+                     | out_links.get(seed, frozenset())) - {seed}
+        ranked = sorted(sorted(neighbors), key=lambda nb: (
+            -reference_milne_witten(seed, nb, in_links, total), nb))
+        for nb in ranked[:cap]:
+            expanded.setdefault(nb, f"expanded-from:{seed}")
+    return expanded
+
+
+def candidates_for(seeds, snap, cap):
+    """build_candidates over one tweet that mentions each seed title."""
+    corpus, _ = load_tweets([{"id": "t0", "timestamp": "2014-02-10T00:00:00Z",
+                              "text": " ".join(seeds), "user_id": "u0"}])
+    day = date(2014, 2, 10)
+    burst = HashtagBurst("tag", day, day, day, 1.0, ("t0",))
+    return build_candidates(burst, corpus, snap, expansion_cap=cap)
+
+
+@st.composite
+def link_tables(draw):
+    """Pages in shuffled order, titles whose sort is not their number's,
+    and link rows that hold references to non-pages (x0, x1), self-links,
+    repeated rows and often one entity linked from every other (in-degree
+    N - 1, the largest a snapshot allows)."""
+    n = draw(st.integers(1, 30))
+    entities = [f"e{i}" for i in range(n)]
+    names = entities + ["x0", "x1"]
+    links = draw(st.lists(st.tuples(st.sampled_from(names),
+                                    st.sampled_from(names)), max_size=120))
+    if draw(st.booleans()):
+        hub = draw(st.sampled_from(entities))
+        links += [(e, hub) for e in entities]
+    if links:
+        links += draw(st.lists(st.sampled_from(links), max_size=10))
+    links = draw(st.permutations(links))
+    pages = [(e, "ARTICLE") for e in draw(st.permutations(entities))]
+    return entities, links, build_snapshot(pages, [], links, [], [])
+
+
+class TestLinkGraphOracle:
+    @given(link_tables())
+    @settings(deadline=None)
+    def test_milne_witten_equals_the_set_formula(self, table):
+        entities, links, snap = table
+        in_links, _ = reference_link_sets(set(entities), links)
+        total = len(entities)
+        assert snap.entities == tuple(sorted(entities))
+        names = sorted(entities) + ["x0"]
+        for a in names:
+            expected = [reference_milne_witten(a, b, in_links, total) for b in names]
+            assert [milne_witten(a, b, snap) for b in names] == expected
+            if a in snap.code:
+                codes = np.arange(total)
+                one_to_many = milne_witten(snap.code[a], codes, snap)
+                assert one_to_many.tolist() == expected[:-1]
+                pairs = milne_witten(np.full(total, snap.code[a]), codes, snap)
+                assert pairs.tolist() == expected[:-1]
+
+    @given(link_tables(), st.data())
+    @settings(deadline=None)
+    def test_graph_bytes_equal_the_per_node_builder(self, table, data):
+        entities, links, snap = table
+        in_links, _ = reference_link_sets(set(entities), links)
+        chosen = data.draw(st.lists(st.sampled_from(entities + ["x0"]),
+                                    min_size=1))
+        graph = build_influence_graph(chosen, snap)
+        nodes, src, dst, weight, dangling = reference_graph(
+            chosen, in_links, len(entities))
+        assert graph.nodes == nodes
+        assert graph.src.tobytes() == src.tobytes()
+        assert graph.dst.tobytes() == dst.tobytes()
+        assert graph.weight.tobytes() == weight.tobytes()
+        assert np.array_equal(graph.dangling, dangling)
+
+    @given(link_tables(), st.data())
+    @settings(deadline=None)
+    def test_expansion_equals_the_per_seed_ranking(self, table, data):
+        entities, links, snap = table
+        in_links, out_links = reference_link_sets(set(entities), links)
+        seeds = data.draw(st.lists(st.sampled_from(entities), min_size=1))
+        cap = data.draw(st.integers(0, 6))
+        cs = candidates_for(seeds, snap, cap)
+        expected = reference_expansion(cs.provenance, in_links, out_links,
+                                       len(entities), cap)
+        assert list(cs.provenance.items()) == list(expected.items())
+
+    def test_hub_pairs_cost_the_smaller_list(self):
+        # a hub linked from 19,143 entities, each also linked from the one
+        # before it; 5,000 candidates hold the hub. Every pair's smaller
+        # list is a candidate's one in-link, so no pair copies the hub's.
+        # np.log(19143) is one ulp off math.log(19143), so the hub's
+        # relatedness check also pins the logs to math.log
+        n = 19_143
+        others = [f"n{i:05d}" for i in range(n)]
+        links = [(e, "hub") for e in others]
+        links += [(others[i - 1], e) for i, e in enumerate(others)]
+        snap = build_snapshot([(e, "ARTICLE") for e in others + ["hub"]],
+                              [], links, [], [])
+        chosen = ["hub"] + others[:4_999]
+        in_links, out_links = reference_link_sets(set(snap.entities), links)
+        candidates_for(["hub"], snap, 50)  # fills the snapshot's caches
+        peaks = []
+        tracemalloc.start()
+        try:
+            graph = build_influence_graph(chosen, snap)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            cs = candidates_for(["hub"], snap, 50)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        # copying the hub's list once per graph pair would take 383 MB
+        per_pair_copy = 4_999 * n * snap.in_src.itemsize
+        assert max(peaks) < per_pair_copy / 40
+        nodes, src, dst, weight, _ = reference_graph(chosen, in_links, n + 1)
+        assert len(src) == 4_999  # the hub and each other candidate
+        assert milne_witten("hub", others[1], snap) == \
+            reference_milne_witten("hub", others[1], in_links, n + 1) > 0
+        assert graph.src.tobytes() == src.tobytes()
+        assert graph.dst.tobytes() == dst.tobytes()
+        assert graph.weight.tobytes() == weight.tobytes()
+        expected = reference_expansion(cs.provenance, in_links, out_links,
+                                       n + 1, 50)
+        assert list(cs.provenance.items()) == list(expected.items())

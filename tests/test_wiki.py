@@ -5,6 +5,7 @@ from collections import Counter
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,11 @@ from test_corpus import jsonl_lines
 def snapshot(pages=(), anchors=(), links=(), revisions=(), pageviews=()):
     return build_snapshot(list(pages), list(anchors), list(links),
                           list(revisions), list(pageviews))
+
+
+def assert_same_link_graph(a, b):
+    for csr in ("in_ptr", "in_src", "out_ptr", "out_dst"):
+        assert np.array_equal(getattr(a, csr), getattr(b, csr))
 
 
 @pytest.fixture
@@ -59,7 +65,7 @@ def small():
 
 class TestBuildSnapshot:
     def test_entity_space_excludes_non_articles(self, small):
-        assert small.entities == {"Sochi", "2014 Winter Olympics", "Russia"}
+        assert set(small.entities) == {"Sochi", "2014 Winter Olympics", "Russia"}
 
     def test_redirect_anchor_folds_to_target(self, small):
         assert dict(small.lexicon["olympics"]) == {"2014 Winter Olympics": 2}
@@ -78,15 +84,15 @@ class TestBuildSnapshot:
             "Sochi": 1, "2014 Winter Olympics": 1}
 
     def test_link_graph_resolves_redirects(self, small):
-        assert "2014 Winter Olympics" in small.outgoing("Russia")
-        assert "Russia" in small.incoming("2014 Winter Olympics")
+        assert small.code["2014 Winter Olympics"] in small.outgoing("Russia")
+        assert small.code["Russia"] in small.incoming("2014 Winter Olympics")
 
     def test_link_symmetry_exhaustive(self, small):
         for e in small.entities:
             for dst in small.outgoing(e):
-                assert e in small.incoming(dst)
+                assert small.code[e] in small.incoming(small.entities[dst])
             for src in small.incoming(e):
-                assert e in small.outgoing(src)
+                assert small.code[e] in small.outgoing(small.entities[src])
 
     def test_redirect_cycle_dropped(self):
         snap = snapshot(
@@ -104,7 +110,7 @@ class TestBuildSnapshot:
         snap = snapshot(pages=rows + [("B", "ARTICLE")],
                         anchors=[("x", "A", 2)])
         assert snap.report.dropped_pages == 1
-        assert snap.entities == frozenset(entities)
+        assert set(snap.entities) == entities
         first = "A" if rows[0][1] == "ARTICLE" else "B"
         assert dict(snap.lexicon["x"]) == {first: 2}
         assert dict(snap.lexicon["a"]) == {first: 1}
@@ -117,10 +123,28 @@ class TestBuildSnapshot:
         assert snap.report.dropped_anchors == 1
         assert snap.report.dropped_links == 1
 
+    def test_repeated_link_stored_once_and_counted(self):
+        # the third row is the first again, through a redirect
+        snap = snapshot(pages=[("A", "ARTICLE"), ("B", "ARTICLE"),
+                               ("R", "REDIRECT:B")],
+                        links=[("A", "B"), ("B", "A"), ("A", "R"), ("A", "B")])
+        assert snap.report.dropped_links == 2
+        assert snap.incoming("B").tolist() == [snap.code["A"]]
+        assert snap.outgoing("A").tolist() == [snap.code["B"]]
+
+    def test_codes_follow_title_order(self):
+        titles = ["b", "a10", "a2", "C", "a1"]
+        snap = snapshot(pages=[(t, "ARTICLE") for t in titles],
+                        links=[(t, "a2") for t in titles])
+        assert snap.entities == ("C", "a1", "a10", "a2", "b")
+        assert snap.code == {t: i for i, t in enumerate(snap.entities)}
+        assert snap.incoming("a2").tolist() == [0, 1, 2, 4]
+        assert snap.incoming("Missing").tolist() == []
+
     def test_no_self_links(self):
         snap = snapshot(pages=[("A", "ARTICLE"), ("B", "REDIRECT:A")],
                         links=[("A", "B")])
-        assert snap.outgoing("A") == frozenset()
+        assert len(snap.outgoing("A")) == 0
 
 
 class TestLinkPrior:
@@ -228,9 +252,9 @@ class TestLoadSnapshot:
         assert r.dropped_links == 1      # wrong column count
         assert r.dropped_revisions == 4  # not JSON, not objects, no fields
         assert r.dropped_pageviews == 3  # bad day + bad count + wrong columns
-        assert snap.entities == frozenset({"A", "B"})
+        assert set(snap.entities) == {"A", "B"}
         assert snap.lexicon["a"] == (("A", 3),)  # title (1) + anchor (2)
-        assert snap.incoming("B") == frozenset({"A"})
+        assert snap.incoming("B").tolist() == [snap.code["A"]]
         assert snap.pageviews["A"] == {date(2014, 2, 1).toordinal(): 3}
         assert snap.latest_text("A") == "x"
         assert snap.latest_text("B") == ""
@@ -277,8 +301,9 @@ class TestLoadSnapshot:
                 (tmp_path / sub / f).write_bytes(text.replace("\n", newline).encode())
         lf, crlf = load_snapshot(tmp_path / "lf"), load_snapshot(tmp_path / "crlf")
         assert vars(crlf.report) == vars(lf.report)
-        for store in ("entities", "lexicon", "out_links", "revisions", "pageviews"):
+        for store in ("entities", "lexicon", "revisions", "pageviews"):
             assert getattr(crlf, store) == getattr(lf, store)
+        assert_same_link_graph(crlf, lf)
         assert crlf.pageviews == {"A": {date(2014, 2, 1).toordinal(): 3}}
 
     @pytest.mark.parametrize("name, bad_line, field", [
@@ -309,8 +334,9 @@ class TestLoadSnapshot:
         snap = load_snapshot(tmp_path / "bad")
         assert vars(snap.report) == {**vars(clean.report), field: 1}
         assert getattr(clean.report, field) == 0
-        for store in ("entities", "lexicon", "out_links", "revisions", "pageviews"):
+        for store in ("entities", "lexicon", "revisions", "pageviews"):
             assert getattr(snap, store) == getattr(clean, store)
+        assert_same_link_graph(snap, clean)
 
     def test_parse_drops_add_to_build_drops(self, tmp_path):
         (tmp_path / "pages.tsv").write_text("A\tARTICLE\n")
@@ -347,3 +373,97 @@ class TestEveryRevisionLineCounted:
         stored = sum(len(revs) for revs in snap.revisions.values())
         assert stored + snap.report.dropped_revisions == \
             sum(not blank for _, blank in lines)
+
+
+# Each TSV wiki file as (line, row) pairs: rows of the file's columns
+# (row None for a line no parse accepts) and blank lines (row "blank").
+TSV_JUNK = st.sampled_from([b" ", b"\xff", b"one", b"a\tb\tc\td\te",
+                            b"A\xff\tARTICLE", b"A\t\xff\t1"])
+TSV_BLANK = st.sampled_from([b"", b"\r"])
+
+
+def tsv_lines(rows):
+    return st.lists(st.one_of(
+        rows.map(lambda r: ("\t".join(r).encode(), r)),
+        TSV_JUNK.map(lambda line: (line, None)),
+        TSV_BLANK.map(lambda line: (line, "blank"))), max_size=40)
+
+
+def load_with(files: dict[str, bytes | str]):
+    """load_snapshot of a directory holding `files`; other files are empty."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for name in ("pages.tsv", "anchors.tsv", "links.tsv", "revisions.jsonl",
+                     "pageviews.tsv"):
+            data = files.get(name, b"")
+            (d / name).write_bytes(data.encode() if isinstance(data, str) else data)
+        return load_snapshot(d)
+
+
+def joined(lines) -> bytes:
+    return b"\n".join(line for line, _ in lines)
+
+
+def non_blank(lines) -> int:
+    return sum(row != "blank" for _, row in lines)
+
+
+TITLES = ["A", "B", "C", "D", "E"]
+
+
+class TestEveryTsvLineCounted:
+    """Every non-blank line of a TSV file is stored or counted under one
+    drop cause of its file."""
+
+    @given(tsv_lines(st.tuples(
+        st.sampled_from(TITLES),
+        st.sampled_from(["ARTICLE"] + [f"REDIRECT:{t}" for t in TITLES + ["Z"]]))))
+    @settings(max_examples=150, deadline=None)
+    def test_pages(self, lines):
+        snap = load_with({"pages.tsv": joined(lines)})
+        # an article and a redirect that resolves each add one lexicon key
+        # (their own title's); repeated titles, cycles and dangling
+        # redirects are dropped
+        assert len(snap.lexicon) + snap.report.dropped_pages == non_blank(lines)
+
+    @given(tsv_lines(st.tuples(st.sampled_from(["a", "x y", "b"]),
+                               st.sampled_from(["A", "B", "R", "D", "Missing"]),
+                               st.sampled_from(["1", "0", "-2", "many"]))))
+    @settings(max_examples=150, deadline=None)
+    def test_anchors(self, lines):
+        pages = "A\tARTICLE\nB\tARTICLE\nR\tREDIRECT:A\nD\tDISAMBIG\n"
+        base = load_with({"pages.tsv": pages})
+        snap = load_with({"pages.tsv": pages, "anchors.tsv": joined(lines)})
+
+        def total(s):
+            return sum(n for entries in s.lexicon.values() for _, n in entries)
+
+        # a stored anchor row adds its count, 1, to the lexicon
+        assert total(snap) - total(base) + snap.report.dropped_anchors == \
+            non_blank(lines)
+
+    @given(tsv_lines(st.tuples(*[st.sampled_from(["A", "B", "C", "R", "D", "L",
+                                                  "Missing"])] * 2)))
+    @settings(max_examples=150, deadline=None)
+    def test_links(self, lines):
+        pages = ("A\tARTICLE\nB\tARTICLE\nC\tARTICLE\nR\tREDIRECT:A\n"
+                 "D\tDISAMBIG\nL\tLIST\n")
+        snap = load_with({"pages.tsv": pages, "links.tsv": joined(lines)})
+        disambig_rows = sum(isinstance(row, tuple) and row[0] == "D"
+                            and row[1] in ("A", "B", "C", "R")
+                            for _, row in lines)
+        assert len(snap.in_src) == len(snap.out_dst)
+        assert len(snap.in_src) + disambig_rows + snap.report.dropped_links == \
+            non_blank(lines)
+
+    @given(tsv_lines(st.tuples(st.sampled_from(["A", "B", "R", "Missing"]),
+                               st.sampled_from(["2014-02-01", "2014-02-02",
+                                                "2014-02-30"]),
+                               st.sampled_from(["1", "-1", "many"]))))
+    @settings(max_examples=150, deadline=None)
+    def test_pageviews(self, lines):
+        pages = "A\tARTICLE\nB\tARTICLE\nR\tREDIRECT:A\n"
+        snap = load_with({"pages.tsv": pages, "pageviews.tsv": joined(lines)})
+        # a stored row adds its count, 1, to its entity's views
+        views = sum(sum(per.values()) for per in snap.pageviews.values())
+        assert views + snap.report.dropped_pageviews == non_blank(lines)
