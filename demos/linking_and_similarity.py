@@ -14,8 +14,9 @@ from datetime import date
 from trendtag import (build_snapshot, context_similarity, language_model,
                       link_prior, load_tweets, longest_match, mention_similarity,
                       segment_hashtag, temporal_context, temporal_similarity,
-                      tweet_tokens, view_series, BurstConfig, build_candidates,
+                      view_series, BurstConfig, build_candidates,
                       detect_bursts, hashtag_series)
+from trendtag.linking import sample_tokens
 
 
 def make_snapshot():
@@ -77,7 +78,7 @@ def main():
     print("segment 'sochi2014' ->",
           segment_hashtag("sochi2014", snapshot.unigram_vocab))
     raw = "watch sochi gold medal @fan http://e.co #sochi2014"
-    tokens = tweet_tokens(raw, snapshot.unigram_vocab)
+    tokens = sample_tokens([raw], snapshot.unigram_vocab)
     print(f"tokens of {raw!r} -> {tokens}")
 
     print("\n== Longest-match mention detection ==")

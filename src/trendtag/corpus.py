@@ -48,15 +48,6 @@ def parse_timestamp(ts) -> datetime:
     raise ValueError(f"bad timestamp: {ts!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Tweet:
-    id: str
-    day: date
-    text: str
-    user_id: str
-    hashtags: tuple[str, ...]
-
-
 def check_field_types(config) -> None:
     """Raise TypeError unless each int or float field of a config dataclass
     holds its default's type; an int also fills a float field, a bool neither."""
@@ -92,7 +83,8 @@ class HashtagBurst:
     window_end: date
     peak_day: date
     peak_outlier_fraction: float
-    tweet_ids: tuple[str, ...]
+    tweet_ids: tuple[str, ...]  # sorted
+    rows: tuple[int, ...]  # the corpus rows of tweet_ids, in the same order
 
     @property
     def window_days(self) -> int:
@@ -122,24 +114,22 @@ class IngestReport:
 class TweetCorpus:
     """Immutable after load; one row per tweet, in load order.
 
-    Columns: `ids` and the texts (lists), `days` (UTC day ordinals) and
-    `users` (codes of the user ids), both int32 arrays. A CSR index maps
-    each hashtag to the rows of the tweets carrying it, once per tweet
-    and sorted by day, so a hashtag's series, users and burst tweets are
-    array operations on one slice. No per-tweet objects are kept: `get`
-    builds a Tweet on demand.
+    Columns: `ids` and `texts` (lists), `days` (UTC day ordinals) and
+    `users` (codes of the user ids, in first-seen order), both int32
+    arrays. A CSR index maps each hashtag to the rows of the tweets
+    carrying it, once per tweet and sorted by day, so a hashtag's series,
+    users and burst tweets are array operations on one slice. The row is
+    a tweet's only handle: no per-tweet objects and no id map are kept.
     """
 
-    def __init__(self, row_of: dict[str, int], texts: list[str],
-                 days: np.ndarray, users: np.ndarray, user_names: list[str],
+    def __init__(self, ids: list[str], texts: list[str],
+                 days: np.ndarray, users: np.ndarray,
                  tag_code: dict[str, int], tag_ptr: np.ndarray,
                  tag_rows: np.ndarray):
-        self._row = row_of
-        self.ids = list(row_of)  # rows are numbered in insertion order
-        self._texts = texts
+        self.ids = ids
+        self.texts = texts
         self.days = days
         self.users = users
-        self._user_names = user_names
         self._tag = tag_code  # hashtag -> code, in sorted hashtag order
         self._tag_ptr = tag_ptr
         self._tag_rows = tag_rows
@@ -150,19 +140,6 @@ class TweetCorpus:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __contains__(self, tweet_id: str) -> bool:
-        return tweet_id in self._row
-
-    def get(self, tweet_id: str) -> Tweet:
-        row = self._row[tweet_id]
-        text = self._texts[row]
-        return Tweet(tweet_id, date.fromordinal(int(self.days[row])), text,
-                     self._user_names[self.users[row]],
-                     tuple(extract_hashtags(text)))
-
-    def text(self, tweet_id: str) -> str:
-        return self._texts[self._row[tweet_id]]
 
     def hashtags(self) -> list[str]:
         return list(self._tag)
@@ -182,7 +159,8 @@ def load_tweets(records: Iterable[dict | None]) -> tuple[TweetCorpus, IngestRepo
     cannot decode) is bad JSON. Duplicate ids keep the first occurrence.
     """
     report = IngestReport()
-    row_of: dict[str, int] = {}
+    seen: set[str] = set()
+    ids: list[str] = []
     texts: list[str] = []
     days = array("i")
     users = array("i")
@@ -208,10 +186,12 @@ def load_tweets(records: Iterable[dict | None]) -> tuple[TweetCorpus, IngestRepo
             report.bad_text += 1
             continue
         tid = str(tid)
-        if tid in row_of:
+        if tid in seen:
             report.duplicates += 1
             continue
-        row = row_of[tid] = len(texts)
+        seen.add(tid)
+        row = len(ids)
+        ids.append(tid)
         texts.append(text)
         days.append(day)
         users.append(user_code.setdefault(str(user), len(user_code)))
@@ -219,6 +199,7 @@ def load_tweets(records: Iterable[dict | None]) -> tuple[TweetCorpus, IngestRepo
             pair_tag.append(tag_code.setdefault(tag, len(tag_code)))
             pair_row.append(row)
         report.accepted += 1
+    del seen, user_code  # freed before the index build allocates its arrays
 
     day_col = np.array(days, dtype=np.int32)
     sorted_code = {tag: i for i, tag in enumerate(sorted(tag_code))}
@@ -228,8 +209,8 @@ def load_tweets(records: Iterable[dict | None]) -> tuple[TweetCorpus, IngestRepo
     order = np.lexsort((day_col[rows], codes))  # by hashtag, then day, then row
     tag_ptr = np.zeros(len(sorted_code) + 1, dtype=np.int64)
     np.cumsum(np.bincount(codes, minlength=len(sorted_code)), out=tag_ptr[1:])
-    corpus = TweetCorpus(row_of, texts, day_col, np.array(users, dtype=np.int32),
-                         list(user_code), sorted_code, tag_ptr, rows[order])
+    corpus = TweetCorpus(ids, texts, day_col, np.array(users, dtype=np.int32),
+                         sorted_code, tag_ptr, rows[order])
     return corpus, report
 
 
@@ -270,28 +251,19 @@ def hashtag_series(corpus: TweetCorpus, hashtag: str,
     return np.bincount(days[lo:hi] - first, minlength=n).astype(float)
 
 
-def outlier_fraction(values: np.ndarray, day_index: int,
-                     config: BurstConfig | None = None) -> float:
-    """Deviation of a day's count from its local median, |n_t - n_b| / max(n_b, n_min).
-
-    The median window is centered on the day and clipped at the series
-    boundaries.
-    """
-    config = config or BurstConfig()
-    if not 0 <= day_index < len(values):
-        raise IndexError("day_index outside series")
-    half = config.median_window_days // 2
-    lo = max(0, day_index - half)
-    hi = min(len(values), day_index + half + 1)
-    n_b = float(np.median(values[lo:hi]))
-    n_t = float(values[day_index])
-    return abs(n_t - n_b) / max(n_b, config.n_min)
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values, as np.unique gives them; np.unique's
+    first call in a process imports numpy.ma, which takes 15-40 ms."""
+    values = np.sort(values)
+    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
 
 
 def outlier_series(values: np.ndarray,
                    config: BurstConfig | None = None) -> np.ndarray:
-    """Outlier fraction of every day of a daily count series: one array
-    pass equal, bit for bit, to outlier_fraction day by day."""
+    """Outlier fraction of every day of a daily count series,
+    |n_t - n_b| / max(n_b, n_min), in one array pass. n_b is the median
+    of a window of median_window_days centered on the day and clipped at
+    the series boundaries."""
     config = config or BurstConfig()
     values = np.asarray(values, dtype=float)
     n = len(values)
@@ -330,7 +302,7 @@ def detect_bursts(corpus: TweetCorpus, hashtag: str,
     if not force:
         if float(np.var(series)) < config.variance_threshold:
             return []
-        if len(np.unique(corpus.users[rows])) < config.min_users:
+        if len(distinct(corpus.users[rows])) < config.min_users:
             return []
     p = outlier_series(series, config)
     peak = int(np.argmax(p))  # argmax returns the first (earliest) maximum
@@ -345,7 +317,7 @@ def detect_bursts(corpus: TweetCorpus, hashtag: str,
     window_end = window_start + timedelta(days=w - 1)
     lo, hi = np.searchsorted(corpus.days[rows], (window_start.toordinal(),
                                                  window_end.toordinal() + 1))
-    ids = sorted(corpus.ids[r] for r in rows[lo:hi].tolist())
+    in_window = sorted(rows[lo:hi].tolist(), key=corpus.ids.__getitem__)
     return [HashtagBurst(hashtag, window_start, window_end,
-                         corpus.start_day + timedelta(days=peak),
-                         float(p[peak]), tuple(ids))]
+                         corpus.start_day + timedelta(days=peak), float(p[peak]),
+                         tuple(corpus.ids[r] for r in in_window), tuple(in_window))]

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import HashtagBurst, TweetCorpus
+from .corpus import HashtagBurst, TweetCorpus, distinct
 from .influence import milne_witten
-from .wiki import WikiSnapshot, distinct, gather, key_prefixes, link_prior
+from .wiki import WikiSnapshot, gather, key_prefixes, link_prior
 
 MAX_NGRAM = 5
 
@@ -47,16 +47,10 @@ def segment_hashtag(body: str, vocab) -> list[str]:
     return parts
 
 
-def tweet_tokens(text: str, vocab=frozenset()) -> list[str]:
-    """Lowercased tokens with URLs, @-mentions and emoticons removed.
-
-    Hashtags lose their '#' and their bodies are segmented against vocab.
-    """
-    return sample_tokens([text], vocab)
-
-
 def sample_tokens(texts, vocab=frozenset()) -> list[str]:
-    """tweet_tokens of each text in turn, with a "\n" token between texts.
+    """Lowercased tokens of each text in turn, with a "\n" token between
+    texts. URLs, @-mentions and emoticons are removed; hashtags lose their
+    '#' and their bodies are segmented against vocab.
 
     The texts are cleaned and split as one string. None of the patterns
     matches a newline, so once each text's own newlines are spaces no
@@ -158,15 +152,19 @@ def build_candidates(burst: HashtagBurst, corpus: TweetCorpus,
     the same sample.
     """
     result = CandidateSet(hashtag=burst.hashtag)
-    ids = sorted(burst.tweet_ids)
-    if not ids:
+    n = len(burst.rows)
+    if not n:
         return result
-    if len(ids) > sample_size:
-        ids = sorted(random.Random(seed).sample(ids, sample_size))
-    result.sampled_tweet_ids = tuple(ids)
+    # positions in the burst's id order, so the sample is the one drawn
+    # from the sorted ids themselves
+    picks = range(n)
+    if n > sample_size:
+        picks = sorted(random.Random(seed).sample(picks, sample_size))
+    result.sampled_tweet_ids = tuple(burst.tweet_ids[i] for i in picks)
 
     # one pass over the whole sample; no match crosses the "\n" barriers
-    tokens = sample_tokens(map(corpus.text, ids), snapshot.unigram_vocab)
+    tokens = sample_tokens((corpus.texts[burst.rows[i]] for i in picks),
+                           snapshot.unigram_vocab)
     result.sample_token_counts = Counter(tokens)
     result.sample_token_counts.pop("\n", None)
     mentions = Counter(m for m, _ in longest_match(

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import iter_jsonl, parse_timestamp
+from .corpus import distinct, iter_jsonl, parse_timestamp
 from .textutil import normalize_surface, tokenize
 
 log = logging.getLogger(__name__)
@@ -75,14 +75,6 @@ class WikiSnapshot:
     def entity_count(self) -> int:
         return len(self.entities)
 
-    def incoming(self, entity: str) -> np.ndarray:
-        """Sorted codes of the entities linking to entity."""
-        return _slice(self.in_ptr, self.in_src, self.code.get(entity))
-
-    def outgoing(self, entity: str) -> np.ndarray:
-        """Sorted codes of the entities entity links to."""
-        return _slice(self.out_ptr, self.out_dst, self.code.get(entity))
-
     @cached_property
     def in_key(self) -> np.ndarray:
         """dst * N + src of each in-link, in CSR order, hence sorted:
@@ -109,10 +101,6 @@ class WikiSnapshot:
         return key_prefixes(self.lexicon)
 
 
-def _slice(ptr: np.ndarray, items: np.ndarray, code: int | None) -> np.ndarray:
-    return items[ptr[code]:ptr[code + 1]] if code is not None else items[:0]
-
-
 def gather(ptr: np.ndarray, items: np.ndarray, codes) -> tuple[np.ndarray, np.ndarray]:
     """The CSR slices items[ptr[c]:ptr[c + 1]] of each code c, concatenated,
     and for each item the position in codes of the slice it came from."""
@@ -122,13 +110,6 @@ def gather(ptr: np.ndarray, items: np.ndarray, codes) -> tuple[np.ndarray, np.nd
     owner = np.repeat(np.arange(len(codes)), lengths)
     offsets = starts - (np.cumsum(lengths) - lengths)  # slice start - landing
     return items[np.arange(len(owner)) + offsets[owner]], owner
-
-
-def distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct values, as np.unique gives them; np.unique's
-    first call in a process imports numpy.ma, which takes 15-40 ms."""
-    values = np.sort(values)
-    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
 
 
 def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,17 +2,22 @@
 
 import json
 import pickle
+import random
 import re
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trendtag.cli as cli
 from trendtag.cli import _build_config, build_parser, main
-from trendtag.corpus import BurstConfig, load_tweets_jsonl
+from trendtag.corpus import BurstConfig, detect_bursts, load_tweets_jsonl
 from trendtag.influence import IPLConfig
 from trendtag.pipeline import PipelineConfig, read_annotations
-from world import TARGET, gold_labels, tweet_records, wiki_tables
+from world import TARGET, gold_labels, tweet_records, tweet_rows, wiki_tables
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +127,7 @@ class TestBursts:
         assert (report.bad_json, report.missing_field, report.bad_timestamp,
                 report.bad_text) == (2, 1, 1, 1)
         assert report.rejected == 5
-        assert corpus.get("a").hashtags == ("x",)
+        assert [(t.id, t.hashtags) for t in tweet_rows(corpus)] == [("a", ("x",))]
         assert main(["bursts", "--tweets", str(tweets)]) == 0
         warnings = sorted(r.getMessage() for r in caplog.records
                           if r.name == "trendtag.cli")
@@ -195,6 +200,42 @@ class TestAnnotate:
                       "--snapshot", str(tmp_path / "snapshot.pkl")])
             assert exc.value.code == 2
             assert "--snapshot" in capsys.readouterr().err
+
+
+class TestShuffledTweets:
+    """The order of the lines of tweets.jsonl does not reach the output:
+    the sample is drawn from each burst's tweets sorted by id."""
+
+    SAMPLE = 150  # below the 1600-tweet #sochi2014 burst, so the sample is drawn
+
+    @classmethod
+    def annotate(cls, datadir, tweets: Path) -> bytes:
+        out = tweets.with_name("annotations.jsonl")
+        assert main(["annotate", "--tweets", str(tweets),
+                     "--wiki-dir", str(datadir / "wiki"),
+                     "--config", str(datadir / "config.json"),
+                     "--hashtag", "sochi2014", "--hashtag", "randomchat",
+                     "--sample-size", str(cls.SAMPLE), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    @pytest.fixture(scope="class")
+    def unshuffled(self, datadir):
+        corpus, _ = load_tweets_jsonl(datadir / "tweets.jsonl")
+        burst = detect_bursts(corpus, "sochi2014", BurstConfig(
+            min_users=50, variance_threshold=100, trending_fraction_threshold=5))[0]
+        assert len(burst.tweet_ids) > self.SAMPLE
+        return self.annotate(datadir, datadir / "tweets.jsonl")
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=max(10, settings.default.max_examples // 10),
+              deadline=None)
+    def test_annotations_byte_identical(self, datadir, unshuffled, seed):
+        lines = (datadir / "tweets.jsonl").read_text(encoding="utf-8").splitlines(True)
+        random.Random(seed).shuffle(lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            tweets = Path(tmp) / "tweets.jsonl"
+            tweets.write_text("".join(lines), encoding="utf-8")
+            assert self.annotate(datadir, tweets) == unshuffled
 
 
 class TestConfigRouting:

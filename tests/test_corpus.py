@@ -12,11 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trendtag.corpus as corpus_module
-from trendtag.corpus import (BurstConfig, Tweet, detect_bursts,
-                             extract_hashtags, hashtag_series, load_tweets,
-                             load_tweets_jsonl,
-                             outlier_fraction, outlier_series,
-                             parse_timestamp)
+from trendtag.corpus import (BurstConfig, detect_bursts, extract_hashtags,
+                             hashtag_series, load_tweets, load_tweets_jsonl,
+                             outlier_series, parse_timestamp)
+from world import Row, tweet_rows
 
 DAY0 = date(2014, 2, 1)
 
@@ -43,18 +42,22 @@ def corpus_from_series(values, hashtag="tag", users_per_day=1):
     return corpus
 
 
+def tweet(corpus, tid):
+    return next(t for t in tweet_rows(corpus) if t.id == tid)
+
+
 class TestLoadTweets:
     def test_duplicate_ids_first_wins(self):
         corpus, report = load_tweets([
             rec("a", 0, "first #x"), rec("a", 1, "second #y"), rec("b", 0, "#z"),
         ])
         assert len(corpus) == 2
-        assert corpus.get("a").hashtags == ("x",)
+        assert tweet(corpus, "a").hashtags == ("x",)
         assert report.duplicates == 1
 
     def test_hashtag_extraction(self):
         corpus, _ = load_tweets([rec("a", 0, "Go #Sochi2014!")])
-        assert corpus.get("a").hashtags == ("sochi2014",)
+        assert tweet(corpus, "a").hashtags == ("sochi2014",)
         assert extract_hashtags("a #B #b c") == ["b", "b"]
 
     def test_undecodable_line_counted_as_bad_json(self, tmp_path):
@@ -114,10 +117,12 @@ REJECT_CAUSES = ("bad_json", "missing_field", "bad_timestamp", "bad_text")
 
 
 def reference_load(records):
-    """Row loader: one Tweet per accepted record, each rejected record
-    counted under its first fault (as IngestReport documents)."""
+    """Row loader: one Row per accepted record, each rejected record
+    counted under its first fault (as IngestReport documents); users are
+    coded in first-accepted order."""
     counts: Counter = Counter()
-    tweets: dict[str, Tweet] = {}
+    tweets: dict[str, Row] = {}
+    user_code: dict[str, int] = {}
     for rec in records:
         if not isinstance(rec, dict):
             counts["bad_json"] += 1
@@ -138,8 +143,8 @@ def reference_load(records):
         if tid in tweets:
             counts["duplicates"] += 1
             continue
-        tweets[tid] = Tweet(tid, day, text, str(rec["user_id"]),
-                            tuple(extract_hashtags(text)))
+        user = user_code.setdefault(str(rec["user_id"]), len(user_code))
+        tweets[tid] = Row(tid, day, text, user, tuple(extract_hashtags(text)))
         counts["accepted"] += 1
     return tweets, counts
 
@@ -175,10 +180,8 @@ class TestLoaderMatchesRowLoader:
         assert report.rejected == sum(counts[c] for c in REJECT_CAUSES)
         assert len(corpus) == len(tweets)
         assert corpus.ids == list(tweets)
-        assert all(tid in corpus for tid in tweets)
-        assert [corpus.get(tid) for tid in tweets] == list(tweets.values())
-        assert [corpus.text(tid) for tid in tweets] == [
-            t.text for t in tweets.values()]
+        assert tweet_rows(corpus) == list(tweets.values())
+        assert corpus.texts == [t.text for t in tweets.values()]
         assert corpus.hashtags() == sorted(
             {tag for t in tweets.values() for tag in t.hashtags})
         days = [t.day for t in tweets.values()]
@@ -295,13 +298,29 @@ class TestSeriesMatchesTweetLoop:
         start = DAY0 + timedelta(days=first)
         end = start + timedelta(days=length - 1)
         expected = np.zeros(length)
-        for tid in corpus.ids:
-            tw = corpus.get(tid)
+        for tw in tweet_rows(corpus):
             if tag in tw.hashtags and start <= tw.day <= end:
                 expected[(tw.day - start).days] += 1
         series = hashtag_series(corpus, tag, start, end)
         assert series.dtype == np.float64
         np.testing.assert_array_equal(series, expected)
+
+
+def reference_outlier_fraction(values, day_index, config):
+    """Deviation of a day's count from its local median,
+    |n_t - n_b| / max(n_b, n_min), with the median window centered on the
+    day and clipped at the series boundaries: the day-by-day reference."""
+    half = config.median_window_days // 2
+    lo = max(0, day_index - half)
+    hi = min(len(values), day_index + half + 1)
+    n_b = float(np.median(values[lo:hi]))
+    n_t = float(values[day_index])
+    return abs(n_t - n_b) / max(n_b, config.n_min)
+
+
+def outlier_fraction(values, day_index):
+    """One day's outlier fraction, as outlier_series computes it."""
+    return float(outlier_series(values)[day_index])
 
 
 class TestOutlierFraction:
@@ -334,7 +353,7 @@ class TestOutlierFraction:
 
 
 def per_day_outliers(values, config):
-    return np.array([outlier_fraction(values, i, config)
+    return np.array([reference_outlier_fraction(values, i, config)
                      for i in range(len(values))])
 
 
@@ -423,7 +442,7 @@ class TestDetectBursts:
         values = [2] * 15 + [80] + [2] * 15
         corpus = corpus_from_series(values, users_per_day=3)
         burst = detect_bursts(corpus, "tag", spike_config())[0]
-        tweets = [corpus.get(tid) for tid in corpus.ids]
+        tweets = tweet_rows(corpus)
         expected = sum(1 for t in tweets if "tag" in t.hashtags
                        and burst.window_start <= t.day <= burst.window_end)
         assert len(burst.tweet_ids) == expected
@@ -489,10 +508,11 @@ class TestBurstIdsMatchReferenceFilter:
         burst = bursts[0]
         assert burst.window_days == w
         expected = sorted(
-            tid for tid in corpus.ids
-            if "tag" in corpus.get(tid).hashtags
-            and burst.window_start <= corpus.get(tid).day <= burst.window_end)
+            t.id for t in tweet_rows(corpus)
+            if "tag" in t.hashtags
+            and burst.window_start <= t.day <= burst.window_end)
         assert list(burst.tweet_ids) == expected
+        assert [corpus.ids[r] for r in burst.rows] == expected
 
 
 class TestValidation:

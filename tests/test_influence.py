@@ -859,7 +859,7 @@ def candidates_for(seeds, snap, cap):
     corpus, _ = load_tweets([{"id": "t0", "timestamp": "2014-02-10T00:00:00Z",
                               "text": " ".join(seeds), "user_id": "u0"}])
     day = date(2014, 2, 10)
-    burst = HashtagBurst("tag", day, day, day, 1.0, ("t0",))
+    burst = HashtagBurst("tag", day, day, day, 1.0, ("t0",), (0,))
     return build_candidates(burst, corpus, snap, expansion_cap=cap)
 
 

@@ -5,18 +5,19 @@ import re
 import sys
 from collections import Counter
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import trendtag.linking as linking
 from trendtag.corpus import load_tweets
 from trendtag.linking import (build_candidates, longest_match, sample_tokens,
-                              segment_hashtag, tweet_tokens)
+                              segment_hashtag)
 from trendtag.corpus import detect_bursts, BurstConfig
 from trendtag.pipeline import PipelineConfig, annotate_hashtag
 from trendtag.wiki import build_snapshot, key_prefixes, link_prior
+
+from world import incoming, outgoing
 
 
 def brute_force_match(tokens, lexicon, max_n=5):
@@ -101,22 +102,22 @@ class TestSampleTokens:
 class TestTweetTokens:
     def test_filter_rules(self):
         vocab = {"sochi"}
-        assert tweet_tokens("watch @bob http://x.co #sochi now",
-                            vocab) == ["watch", "sochi", "now"]
+        assert sample_tokens(["watch @bob http://x.co #sochi now"],
+                             vocab) == ["watch", "sochi", "now"]
 
     def test_emoticons_removed(self):
-        assert tweet_tokens("great :) game :-( yes", set()) == \
+        assert sample_tokens(["great :) game :-( yes"], set()) == \
             ["great", "game", "yes"]
 
     def test_case_folded(self):
-        assert tweet_tokens("Sochi GAMES", set()) == ["sochi", "games"]
+        assert sample_tokens(["Sochi GAMES"], set()) == ["sochi", "games"]
 
     def test_hashtag_segmentation(self):
         vocab = {"winter", "olympics"}
-        assert tweet_tokens("#winterolympics", vocab) == ["winter", "olympics"]
+        assert sample_tokens(["#winterolympics"], vocab) == ["winter", "olympics"]
 
     def test_unsegmentable_hashtag_kept_whole(self):
-        assert tweet_tokens("#qqqzzz", {"winter"}) == ["qqqzzz"]
+        assert sample_tokens(["#qqqzzz"], {"winter"}) == ["qqqzzz"]
 
 
 class TestSegmentHashtag:
@@ -215,8 +216,9 @@ def reference_candidates(burst, corpus, snapshot, sample_size, seed):
     if len(ids) > sample_size:
         ids = sorted(random.Random(seed).sample(ids, sample_size))
     provenance, mention_counts, token_counts = {}, {}, Counter()
+    text_of = dict(zip(corpus.ids, corpus.texts))
     for tid in ids:
-        tokens = reference_tokens(corpus.get(tid).text, snapshot.unigram_vocab)
+        tokens = reference_tokens(text_of[tid], snapshot.unigram_vocab)
         token_counts.update(tokens)
         for mention, _ in brute_force_match(tokens, snapshot.lexicon):
             for entity, prior in link_prior(snapshot, mention).items():
@@ -273,8 +275,8 @@ class TestBuildCandidates:
         for e, prov in cs.provenance.items():
             if prov.startswith("expanded-from:"):
                 seed = prov.split(":", 1)[1]
-                assert snapshot.code[e] in np.union1d(snapshot.incoming(seed),
-                                                      snapshot.outgoing(seed))
+                assert snapshot.code[e] in (incoming(snapshot, seed)
+                                            + outgoing(snapshot, seed))
 
     def test_mentioned_neighbor_stays_seed(self):
         burst, corpus, snapshot = make_world()
@@ -312,9 +314,36 @@ class TestBuildCandidates:
         burst, corpus, snapshot = make_world()
         empty = burst.__class__(burst.hashtag, burst.window_start,
                                 burst.window_end, burst.peak_day,
-                                burst.peak_outlier_fraction, ())
+                                burst.peak_outlier_fraction, (), ())
         cs = build_candidates(empty, corpus, snapshot)
         assert cs.is_empty()
+
+
+class TestSampledIds:
+    """The sample is drawn from the burst's ids in sorted order, whatever
+    order the tweets were loaded in, and the sampled tweets' texts are the
+    ones linked."""
+
+    @given(st.lists(st.text("abc0123456789", min_size=1, max_size=6),
+                    min_size=2, max_size=60, unique=True),
+           st.integers(min_value=1, max_value=70),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_equals_sample_of_sorted_ids(self, ids, sample_size, seed):
+        assume(ids != sorted(ids))
+        corpus, _ = load_tweets([
+            {"id": tid, "timestamp": "2014-02-10T00:00:00Z",
+             "text": f"w{tid} #tag", "user_id": "u0"} for tid in ids])
+        burst = detect_bursts(corpus, "tag", BurstConfig(), force=True)[0]
+        snapshot = build_snapshot([("A", "ARTICLE")], [], [], [], [])
+        cs = build_candidates(burst, corpus, snapshot, sample_size=sample_size,
+                              seed=seed)
+        expected = sorted(ids)
+        if len(ids) > sample_size:
+            expected = sorted(random.Random(seed).sample(expected, sample_size))
+        assert cs.sampled_tweet_ids == tuple(expected)
+        assert cs.sample_token_counts == Counter(
+            [f"w{tid}" for tid in expected] + ["tag"] * len(expected))
 
 
 class TestLinkOncePerMention:

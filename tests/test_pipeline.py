@@ -24,7 +24,8 @@ from trendtag.pipeline import (PipelineConfig, RankedAnnotation, RankedEntity,
                                trending_hashtags, write_annotations,
                                read_annotations)
 from trendtag.similarity import mention_similarity, normalize_scores
-from world import CITY, N_DAYS, START, TARGET, gold_labels, tweet_records
+from world import (CITY, N_DAYS, START, TARGET, gold_labels, tweet_records,
+                   tweet_rows)
 
 
 def reference_ap(ranking, relevant, cutoff):
@@ -240,7 +241,7 @@ class TestAnnotateHashtag:
         trending = [b.hashtag for b in trending_hashtags(corpus, config)]
 
         assert called == ["randomchat", "seesaw", "sochi2014", "solo"]
-        tweets = [corpus.get(tid) for tid in corpus.ids]
+        tweets = tweet_rows(corpus)
         passing = []
         for tag in called:
             mine = [t for t in tweets if tag in t.hashtags]
@@ -248,7 +249,7 @@ class TestAnnotateHashtag:
             for t in mine:
                 series[(t.day - START).days] += 1
             if (np.var(series) >= config.burst.variance_threshold
-                    and len({t.user_id for t in mine}) >= config.burst.min_users):
+                    and len({t.user for t in mine}) >= config.burst.min_users):
                 passing.append(tag)
         assert passing == ["seesaw", "sochi2014"]
         assert reached == passing

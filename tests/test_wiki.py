@@ -14,6 +14,7 @@ from trendtag.wiki import (added_tokens, build_snapshot, link_prior,
                            load_snapshot, temporal_context, view_series)
 
 from test_corpus import jsonl_lines
+from world import incoming, outgoing
 
 
 def snapshot(pages=(), anchors=(), links=(), revisions=(), pageviews=()):
@@ -84,15 +85,15 @@ class TestBuildSnapshot:
             "Sochi": 1, "2014 Winter Olympics": 1}
 
     def test_link_graph_resolves_redirects(self, small):
-        assert small.code["2014 Winter Olympics"] in small.outgoing("Russia")
-        assert small.code["Russia"] in small.incoming("2014 Winter Olympics")
+        assert small.code["2014 Winter Olympics"] in outgoing(small, "Russia")
+        assert small.code["Russia"] in incoming(small, "2014 Winter Olympics")
 
     def test_link_symmetry_exhaustive(self, small):
         for e in small.entities:
-            for dst in small.outgoing(e):
-                assert small.code[e] in small.incoming(small.entities[dst])
-            for src in small.incoming(e):
-                assert small.code[e] in small.outgoing(small.entities[src])
+            for dst in outgoing(small, e):
+                assert small.code[e] in incoming(small, small.entities[dst])
+            for src in incoming(small, e):
+                assert small.code[e] in outgoing(small, small.entities[src])
 
     def test_redirect_cycle_dropped(self):
         snap = snapshot(
@@ -129,8 +130,8 @@ class TestBuildSnapshot:
                                ("R", "REDIRECT:B")],
                         links=[("A", "B"), ("B", "A"), ("A", "R"), ("A", "B")])
         assert snap.report.dropped_links == 2
-        assert snap.incoming("B").tolist() == [snap.code["A"]]
-        assert snap.outgoing("A").tolist() == [snap.code["B"]]
+        assert incoming(snap, "B") == [snap.code["A"]]
+        assert outgoing(snap, "A") == [snap.code["B"]]
 
     def test_codes_follow_title_order(self):
         titles = ["b", "a10", "a2", "C", "a1"]
@@ -138,13 +139,13 @@ class TestBuildSnapshot:
                         links=[(t, "a2") for t in titles])
         assert snap.entities == ("C", "a1", "a10", "a2", "b")
         assert snap.code == {t: i for i, t in enumerate(snap.entities)}
-        assert snap.incoming("a2").tolist() == [0, 1, 2, 4]
-        assert snap.incoming("Missing").tolist() == []
+        assert incoming(snap, "a2") == [0, 1, 2, 4]
+        assert incoming(snap, "Missing") == []
 
     def test_no_self_links(self):
         snap = snapshot(pages=[("A", "ARTICLE"), ("B", "REDIRECT:A")],
                         links=[("A", "B")])
-        assert len(snap.outgoing("A")) == 0
+        assert outgoing(snap, "A") == []
 
 
 class TestLinkPrior:
@@ -254,7 +255,7 @@ class TestLoadSnapshot:
         assert r.dropped_pageviews == 3  # bad day + bad count + wrong columns
         assert set(snap.entities) == {"A", "B"}
         assert snap.lexicon["a"] == (("A", 3),)  # title (1) + anchor (2)
-        assert snap.incoming("B").tolist() == [snap.code["A"]]
+        assert incoming(snap, "B") == [snap.code["A"]]
         assert snap.pageviews["A"] == {date(2014, 2, 1).toordinal(): 3}
         assert snap.latest_text("A") == "x"
         assert snap.latest_text("B") == ""

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import random
 from datetime import date, timedelta
+from typing import NamedTuple
 
-from trendtag.corpus import load_tweets
+from trendtag.corpus import extract_hashtags, load_tweets
 from trendtag.wiki import build_snapshot
 
 TARGET = "2014 Winter Olympics"
@@ -67,6 +68,36 @@ def tweet_records(seed: int = 7) -> list[dict]:
             add_tweet(day, f"{rng.choice(NOISE_WORDS)} nothing much "
                            f"{rng.choice(NOISE_WORDS)} #randomchat")
     return records
+
+
+class Row(NamedTuple):
+    id: str
+    day: date
+    text: str
+    user: int  # the user's code: users are numbered in first-seen order
+    hashtags: tuple[str, ...]
+
+
+def tweet_rows(corpus) -> list[Row]:
+    """Each corpus row as a tuple, built from the columns."""
+    return [Row(tid, date.fromordinal(int(day)), text, int(user),
+                tuple(extract_hashtags(text)))
+            for tid, text, day, user in zip(corpus.ids, corpus.texts,
+                                            corpus.days, corpus.users)]
+
+
+def incoming(snapshot, title) -> list[int]:
+    """Sorted codes of the entities linking to title; [] for a non-entity."""
+    return _csr_slice(snapshot.in_ptr, snapshot.in_src, snapshot.code.get(title))
+
+
+def outgoing(snapshot, title) -> list[int]:
+    """Sorted codes of the entities title links to; [] for a non-entity."""
+    return _csr_slice(snapshot.out_ptr, snapshot.out_dst, snapshot.code.get(title))
+
+
+def _csr_slice(ptr, items, code) -> list[int]:
+    return [] if code is None else items[ptr[code]:ptr[code + 1]].tolist()
 
 
 def build_corpus(seed: int = 7):
