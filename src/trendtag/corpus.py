@@ -17,6 +17,7 @@ import re
 from array import array
 from dataclasses import dataclass, fields
 from datetime import date, datetime, timedelta, timezone
+from itertools import compress
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -114,32 +115,40 @@ class IngestReport:
 class TweetCorpus:
     """Immutable after load; one row per tweet, in load order.
 
-    Columns: `ids` and `texts` (lists), `days` (UTC day ordinals) and
-    `users` (codes of the user ids, in first-seen order), both int32
-    arrays. A CSR index maps each hashtag to the rows of the tweets
-    carrying it, once per tweet and sorted by day, so a hashtag's series,
-    users and burst tweets are array operations on one slice. The row is
-    a tweet's only handle: no per-tweet objects and no id map are kept.
+    Columns: `ids` (a list), `days` (UTC day ordinals) and `users` (codes
+    of the user ids, in first-seen order), both int32 arrays. The texts
+    are one UTF-8 buffer, read back by row through `texts`. A CSR index
+    maps each hashtag to the rows of the tweets carrying it, once per
+    tweet and sorted by day, so a hashtag's series, users and burst
+    tweets are array operations on one slice. The row is a tweet's only
+    handle: no per-tweet objects and no id map are kept.
     """
 
-    def __init__(self, ids: list[str], texts: list[str],
+    def __init__(self, ids: list[str], text: bytearray, text_ptr: np.ndarray,
                  days: np.ndarray, users: np.ndarray,
                  tag_code: dict[str, int], tag_ptr: np.ndarray,
                  tag_rows: np.ndarray):
         self.ids = ids
-        self.texts = texts
+        self._text = text  # row r's text is _text[_text_ptr[r]:_text_ptr[r + 1]]
+        self._text_ptr = text_ptr
         self.days = days
         self.users = users
         self._tag = tag_code  # hashtag -> code, in sorted hashtag order
         self._tag_ptr = tag_ptr
         self._tag_rows = tag_rows
-        for column in (days, users, tag_ptr, tag_rows):
+        for column in (text_ptr, days, users, tag_ptr, tag_rows):
             column.setflags(write=False)
         self.start_day = date.fromordinal(int(days.min())) if len(days) else None
         self.end_day = date.fromordinal(int(days.max())) if len(days) else None
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def texts(self, rows) -> list[str]:
+        """The texts of the given rows, in the order given."""
+        rows, ptr = np.asarray(rows, dtype=np.intp), self._text_ptr
+        return [self._text[a:b].decode("utf-8", "surrogatepass")
+                for a, b in zip(ptr[rows].tolist(), ptr[rows + 1].tolist())]
 
     def hashtags(self) -> list[str]:
         return list(self._tag)
@@ -156,12 +165,14 @@ def load_tweets(records: Iterable[dict | None]) -> tuple[TweetCorpus, IngestRepo
     """Build a corpus from raw records, counting malformed ones by cause.
 
     A record that is not a dict (iter_jsonl yields None for a line it
-    cannot decode) is bad JSON. Duplicate ids keep the first occurrence.
+    cannot decode) is bad JSON. Duplicate ids keep the first occurrence:
+    every well-formed record gets a row as it is read, and the rows that
+    repeat an earlier row's id are found and dropped after the loop.
     """
     report = IngestReport()
-    seen: set[str] = set()
     ids: list[str] = []
-    texts: list[str] = []
+    text_buf = bytearray()  # the texts, UTF-8 with lone surrogates kept, back to back
+    text_ptr = array("q", [0])  # row r's text ends at text_ptr[r + 1]
     days = array("i")
     users = array("i")
     user_code: dict[str, int] = {}
@@ -185,33 +196,92 @@ def load_tweets(records: Iterable[dict | None]) -> tuple[TweetCorpus, IngestRepo
         if not isinstance(text, str):
             report.bad_text += 1
             continue
-        tid = str(tid)
-        if tid in seen:
-            report.duplicates += 1
-            continue
-        seen.add(tid)
         row = len(ids)
-        ids.append(tid)
-        texts.append(text)
+        ids.append(str(tid))
+        text_buf += text.encode("utf-8", "surrogatepass")
+        text_ptr.append(len(text_buf))
         days.append(day)
         users.append(user_code.setdefault(str(user), len(user_code)))
         for tag in set(extract_hashtags(text)):
             pair_tag.append(tag_code.setdefault(tag, len(tag_code)))
             pair_row.append(row)
-        report.accepted += 1
-    del seen, user_code  # freed before the index build allocates its arrays
+    del user_code  # freed before the index build allocates its arrays
 
-    day_col = np.array(days, dtype=np.int32)
-    sorted_code = {tag: i for i, tag in enumerate(sorted(tag_code))}
-    recode = np.array([sorted_code[tag] for tag in tag_code], dtype=np.int32)
-    codes = recode[np.array(pair_tag, dtype=np.intp)]
-    rows = np.array(pair_row, dtype=np.int32)
-    order = np.lexsort((day_col[rows], codes))  # by hashtag, then day, then row
+    ptr = np.frombuffer(text_ptr, dtype=np.int64)
+    day_col = np.frombuffer(days, dtype=np.int32)
+    user_col = np.frombuffer(users, dtype=np.int32)
+    pair_tag = np.frombuffer(pair_tag, dtype=np.int32)
+    pair_row = np.frombuffer(pair_row, dtype=np.int32)
+    # Drop the repeated rows by moving the kept runs down, in place, so that
+    # no column is copied. pair_row ascends, so each row's pairs are a span.
+    repeated = repeated_rows(ids, np.fromiter(map(hash, ids), np.int64, len(ids)))
+    if repeated:
+        n, ends = len(ids), [r + 1 for r in repeated]
+        squeeze(ids, repeated, ends, n)
+        del ids[n - len(repeated):]
+        squeeze(day_col, repeated, ends, n)
+        squeeze(user_col, repeated, ends, n)
+        lo, hi = ptr[[repeated, ends]].tolist()
+        with memoryview(text_buf) as view:
+            size = squeeze(view, lo, hi, len(text_buf))
+        del text_buf[size:]
+        squeeze(ptr[1:], repeated, ends, n, less=np.cumsum(np.subtract(hi, lo)))
+        lo, hi = np.searchsorted(pair_row, [repeated, ends]).tolist()
+        pairs = squeeze(pair_row, lo, hi, len(pair_row), less=range(1, n))
+        squeeze(pair_tag, lo, hi, len(pair_tag))
+        ptr, day_col, pair_tag, pair_row = (ptr[:len(ids) + 1], day_col[:len(ids)],
+                                            pair_tag[:pairs], pair_row[:pairs])
+        user_col = first_seen_codes(user_col[:len(ids)])
+    report.accepted, report.duplicates = len(ids), len(repeated)
+
+    in_use = np.bincount(pair_tag, minlength=len(tag_code)) > 0
+    sorted_code = {tag: i for i, tag in enumerate(
+        sorted(compress(tag_code, in_use)))}
+    recode = np.array([sorted_code.get(tag, -1) for tag in tag_code], dtype=np.int32)
+    codes = recode[pair_tag]
+    order = np.lexsort((day_col[pair_row], codes))  # by hashtag, then day, then row
     tag_ptr = np.zeros(len(sorted_code) + 1, dtype=np.int64)
     np.cumsum(np.bincount(codes, minlength=len(sorted_code)), out=tag_ptr[1:])
-    corpus = TweetCorpus(ids, texts, day_col, np.array(users, dtype=np.int32),
-                         sorted_code, tag_ptr, rows[order])
+    corpus = TweetCorpus(ids, text_buf, ptr, day_col, user_col,
+                         sorted_code, tag_ptr, pair_row[order])
     return corpus, report
+
+
+def repeated_rows(ids: list[str], hashes: np.ndarray) -> list[int]:
+    """Rows whose id equals an earlier row's, ascending. hashes[r] is the
+    hash of ids[r], and is sorted in place; only the rows that share a
+    hash with another row are compared by id."""
+    order = np.argsort(hashes)
+    hashes.sort()
+    tie = np.flatnonzero(hashes[1:] == hashes[:-1])
+    seen: set[str] = set()
+    repeated = []
+    for row in distinct(np.concatenate((order[tie], order[tie + 1]))).tolist():
+        if ids[row] in seen:
+            repeated.append(row)
+        seen.add(ids[row])
+    return repeated
+
+
+def squeeze(column, starts, ends, size: int, less=None) -> int:
+    """Delete the ascending, disjoint spans [starts[i], ends[i]) from the
+    first `size` items of the column, in place: the run of items after
+    span i moves down over the spans, lowered by less[i] if `less` is
+    given. Returns the size left."""
+    to = starts[0]
+    for i, (end, nxt) in enumerate(zip(ends, [*starts[1:], size])):
+        run = column[end:nxt]
+        column[to:to + nxt - end] = run if less is None else run - less[i]
+        to += nxt - end
+    return to
+
+
+def first_seen_codes(codes: np.ndarray) -> np.ndarray:
+    """The codes renumbered 0, 1, ... in the order they first appear."""
+    first = np.full(int(codes.max()) + 1, len(codes))
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    rank = np.argsort(np.argsort(first))  # codes that do not appear rank last
+    return rank[codes].astype(np.int32)
 
 
 def iter_jsonl(path) -> Iterator[dict | None]:

@@ -163,7 +163,7 @@ def build_candidates(burst: HashtagBurst, corpus: TweetCorpus,
     result.sampled_tweet_ids = tuple(burst.tweet_ids[i] for i in picks)
 
     # one pass over the whole sample; no match crosses the "\n" barriers
-    tokens = sample_tokens((corpus.texts[burst.rows[i]] for i in picks),
+    tokens = sample_tokens(corpus.texts([burst.rows[i] for i in picks]),
                            snapshot.unigram_vocab)
     result.sample_token_counts = Counter(tokens)
     result.sample_token_counts.pop("\n", None)

@@ -181,7 +181,7 @@ class TestLoaderMatchesRowLoader:
         assert len(corpus) == len(tweets)
         assert corpus.ids == list(tweets)
         assert tweet_rows(corpus) == list(tweets.values())
-        assert corpus.texts == [t.text for t in tweets.values()]
+        assert corpus.texts(range(len(corpus))) == [t.text for t in tweets.values()]
         assert corpus.hashtags() == sorted(
             {tag for t in tweets.values() for tag in t.hashtags})
         days = [t.day for t in tweets.values()]

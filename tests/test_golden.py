@@ -130,7 +130,8 @@ class TestFirstDifference:
 
     @pytest.mark.parametrize("want,got,where", [
         ({"r": 0.1}, {"r": 0.1 * (1 + 1e-11)}, "line 1.r"),
-        ({"e": [{"t": "A"}, {"t": "B"}]}, {"e": [{"t": "A"}, {"t": "C"}]}, "line 1.e[1].t"),
+        ({"e": [{"t": "A"}, {"t": "B"}]}, {"e": [{"t": "A"}, {"t": "C"}]},
+         "line 1.e[1].t"),
         ({"e": [1.0]}, {"e": [1.0, 2.0]}, "line 1.e: want 1 items"),
         ({"w": None}, {"w": 0.5}, "line 1.w"),
         ({"a": 1, "b": 2}, {"a": 1}, "line 1: want keys"),

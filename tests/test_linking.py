@@ -216,7 +216,7 @@ def reference_candidates(burst, corpus, snapshot, sample_size, seed):
     if len(ids) > sample_size:
         ids = sorted(random.Random(seed).sample(ids, sample_size))
     provenance, mention_counts, token_counts = {}, {}, Counter()
-    text_of = dict(zip(corpus.ids, corpus.texts))
+    text_of = dict(zip(corpus.ids, corpus.texts(range(len(corpus)))))
     for tid in ids:
         tokens = reference_tokens(text_of[tid], snapshot.unigram_vocab)
         token_counts.update(tokens)
