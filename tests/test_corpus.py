@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import trendtag.corpus as corpus_module
 from trendtag.corpus import (BurstConfig, detect_bursts, extract_hashtags,
                              hashtag_series, load_tweets, load_tweets_jsonl,
-                             outlier_series, parse_timestamp)
+                             outlier_series, parse_timestamp, repeated_rows)
 from world import Row, tweet_rows
 
 DAY0 = date(2014, 2, 1)
@@ -154,10 +155,15 @@ TIMESTAMPS = st.sampled_from([
     "2014-02-03T01:00:00+03:00", "2014-02-05", 1391947200, 1391947200.5,
     True, False, None, "nonsense", 10 ** 20, [1],
 ])
+# texts the UTF-8 buffer must give back unchanged: accents, an emoji, line
+# breaks, NUL, the empty string and a lone surrogate
+ODD_TEXTS = ["é #é", "\U0001F600 #a", "a\nb", "#b\r\n", "\x00", "", "\ud800 #a"]
 TEXTS = st.one_of(
     st.lists(st.sampled_from(["#a", "#A", "#b", "#Sochi2014", "go", "#a!"]),
              max_size=4).map(" ".join),
-    st.sampled_from([5, None]))
+    st.sampled_from([*ODD_TEXTS, 5, None]))
+# the row oracle's examples; --hypothesis-profile=ci raises them to 1000
+EXAMPLES = max(200, settings.default.max_examples)
 RECORDS = st.one_of(
     st.fixed_dictionaries({"id": st.sampled_from(["a", "b", "c", 7]),
                            "timestamp": TIMESTAMPS, "text": TEXTS,
@@ -171,7 +177,23 @@ class TestLoaderMatchesRowLoader:
     @example([{"id": "a", "timestamp": "bad", "text": "#a", "user_id": "u"},
               {"id": "a", "timestamp": 0, "text": "#a #A #a", "user_id": "u"},
               {"id": "a", "timestamp": 0, "text": "dup", "user_id": "u"}])
-    @settings(max_examples=200, deadline=None)
+    # a dropped copy is the first record to carry hashtag #a
+    @example([{"id": "a", "timestamp": 0, "text": "", "user_id": "u"},
+              {"id": "a", "timestamp": 0, "text": "#a", "user_id": "u"}])
+    # a dropped copy is the first record of user 3, so users renumber
+    @example([{"id": "a", "timestamp": 0, "text": "#a", "user_id": "u1"},
+              {"id": "a", "timestamp": 0, "text": "#b", "user_id": 3},
+              {"id": "b", "timestamp": 0, "text": "", "user_id": "u2"},
+              {"id": "c", "timestamp": 0, "text": "#b", "user_id": 3},
+              {"id": 7, "timestamp": 0, "text": "\ud800 #a", "user_id": "u2"},
+              {"id": "7", "timestamp": 0, "text": "#c", "user_id": "u1"}])
+    # two dropped copies with texts: every later text moves down by both
+    @example([{"id": "a", "timestamp": 0, "text": "#a", "user_id": "u1"},
+              {"id": "a", "timestamp": 0, "text": "é", "user_id": "u1"},
+              {"id": "a", "timestamp": 0, "text": "#b go", "user_id": "u2"},
+              {"id": "b", "timestamp": 0, "text": "#a", "user_id": "u1"},
+              {"id": "c", "timestamp": 0, "text": "go", "user_id": "u1"}])
+    @settings(max_examples=EXAMPLES, deadline=None)
     def test_counts_and_tweets_equal(self, records):
         corpus, report = load_tweets(records)
         tweets, counts = reference_load(records)
@@ -192,6 +214,54 @@ class TestLoaderMatchesRowLoader:
             assert sorted(rows) == [i for i, t in enumerate(tweets.values())
                                     if tag in t.hashtags]
             assert [days[r] for r in rows] == sorted(days[r] for r in rows)
+        backwards = list(range(len(corpus)))[::-1] * 2
+        assert corpus.texts(backwards) == [list(tweets.values())[r].text
+                                           for r in backwards]
+
+    @given(st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=30),
+           st.booleans())
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_repeat_finder_compares_ids_on_equal_hashes(self, ids, equal_hashes):
+        """With every hash equal, distinct ids are all kept and equal ids
+        drop every copy after the first."""
+        hashes = np.zeros(len(ids), dtype=np.int64) if equal_hashes else \
+            np.array([hash(i) for i in ids], dtype=np.int64)
+        assert repeated_rows(ids, hashes) == [
+            r for r, tid in enumerate(ids) if tid in ids[:r]]
+
+    def test_jsonl_surrogate_escapes_read_back(self, tmp_path):
+        path = tmp_path / "tweets.jsonl"
+        path.write_text('{"id": "a", "timestamp": 0, "text": "x \\ud83d #y", "user_id": "u"}\n'
+                        '{"id": "a", "timestamp": 0, "text": "dup", "user_id": "u"}\n'
+                        '{"id": "b", "timestamp": 0, "text": "\\ud83d\\ude00", "user_id": "u"}\n',
+                        encoding="ascii")
+        corpus, report = load_tweets_jsonl(path)
+        assert (report.accepted, report.duplicates) == (2, 1)
+        assert corpus.texts([1, 0]) == ["\U0001F600", "x \ud83d #y"]
+        assert corpus.hashtags() == ["y"]
+
+
+class TestLoadMemory:
+    def test_peak_per_row_bound(self, tmp_path):
+        """The texts are held as one UTF-8 buffer and no id set is built:
+        a 5,050-line load of accented and emoji texts (50 duplicates)
+        peaks at about 190 B a row, against about 440 B with a list of
+        text objects and a set of seen ids."""
+        path = tmp_path / "tweets.jsonl"
+        lines = [json.dumps({"id": f"{i:08d}", "timestamp": f"2016-01-{1 + i % 28:02d}",
+                             "text": f"café \U0001F600 word{i % 97} #tag{i % 50}",
+                             "user_id": f"u{i % 3000}"}, ensure_ascii=False)
+                 for i in range(5_000)]
+        lines += lines[::100]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            corpus, report = load_tweets_jsonl(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.accepted, report.duplicates) == (5_000, 50)
+        assert peak / len(lines) < 300, f"{peak / len(lines):.0f} B a row"
 
 
 # lines that are not a JSON object alone: bad JSON, trailing data, bytes
