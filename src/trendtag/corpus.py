@@ -112,43 +112,81 @@ class IngestReport:
         return self.bad_json + self.missing_field + self.bad_timestamp + self.bad_text
 
 
+class StringColumn:
+    """Strings back to back in one UTF-8 buffer, lone surrogates kept, with
+    an int64 end offset per row: row r is the bytes from its predecessor's
+    end to its own. Appended one by one, read back by row with `take`."""
+
+    def __init__(self):
+        self._buf = bytearray()
+        self._ends = array("q", [0])  # row r ends at _ends[r + 1]
+
+    def __len__(self) -> int:
+        return len(self._ends) - 1
+
+    def append(self, value: str) -> None:
+        self._buf += value.encode("utf-8", "surrogatepass")
+        self._ends.append(len(self._buf))
+
+    def take(self, rows) -> list[str]:
+        """The strings of the given rows, in the order given."""
+        rows, buf = np.asarray(rows, dtype=np.intp), self._buf
+        ptr = np.frombuffer(self._ends, dtype=np.int64)
+        return [buf[a:b].decode("utf-8", "surrogatepass")
+                for a, b in zip(ptr[rows].tolist(), ptr[rows + 1].tolist())]
+
+    def drop(self, rows: list[int]) -> None:
+        """Delete the given ascending rows, in place: the kept runs of the
+        buffer and of the offsets move down, so neither is copied."""
+        n, ends = len(self), [r + 1 for r in rows]
+        ptr = np.frombuffer(self._ends, dtype=np.int64)
+        lo, hi = ptr[[rows, ends]].tolist()
+        with memoryview(self._buf) as view:
+            size = squeeze(view, lo, hi, len(self._buf))
+        del self._buf[size:]
+        squeeze(ptr[1:], rows, ends, n, less=np.cumsum(np.subtract(hi, lo)))
+        del ptr  # releases the offsets' buffer, which can then shrink
+        del self._ends[n + 1 - len(rows):]
+
+
 class TweetCorpus:
     """Immutable after load; one row per tweet, in load order.
 
-    Columns: `ids` (a list), `days` (UTC day ordinals) and `users` (codes
-    of the user ids, in first-seen order), both int32 arrays. The texts
-    are one UTF-8 buffer, read back by row through `texts`. A CSR index
-    maps each hashtag to the rows of the tweets carrying it, once per
-    tweet and sorted by day, so a hashtag's series, users and burst
-    tweets are array operations on one slice. The row is a tweet's only
-    handle: no per-tweet objects and no id map are kept.
+    The ids and the texts are one `StringColumn` each, read back by row
+    through `ids(rows)` and `texts(rows)`. `days` (UTC day ordinals) and
+    `users` (codes of the user ids, in first-seen order) are int32
+    arrays. A CSR index maps each hashtag to the rows of the tweets
+    carrying it, once per tweet and sorted by day, so a hashtag's series,
+    users and burst tweets are array operations on one slice. The row is
+    a tweet's only handle: no per-tweet objects and no id map are kept.
     """
 
-    def __init__(self, ids: list[str], text: bytearray, text_ptr: np.ndarray,
+    def __init__(self, ids: StringColumn, texts: StringColumn,
                  days: np.ndarray, users: np.ndarray,
                  tag_code: dict[str, int], tag_ptr: np.ndarray,
                  tag_rows: np.ndarray):
-        self.ids = ids
-        self._text = text  # row r's text is _text[_text_ptr[r]:_text_ptr[r + 1]]
-        self._text_ptr = text_ptr
+        self._ids = ids
+        self._texts = texts
         self.days = days
         self.users = users
         self._tag = tag_code  # hashtag -> code, in sorted hashtag order
         self._tag_ptr = tag_ptr
         self._tag_rows = tag_rows
-        for column in (text_ptr, days, users, tag_ptr, tag_rows):
+        for column in (days, users, tag_ptr, tag_rows):
             column.setflags(write=False)
         self.start_day = date.fromordinal(int(days.min())) if len(days) else None
         self.end_day = date.fromordinal(int(days.max())) if len(days) else None
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self._ids)
+
+    def ids(self, rows) -> list[str]:
+        """The ids of the given rows, in the order given."""
+        return self._ids.take(rows)
 
     def texts(self, rows) -> list[str]:
         """The texts of the given rows, in the order given."""
-        rows, ptr = np.asarray(rows, dtype=np.intp), self._text_ptr
-        return [self._text[a:b].decode("utf-8", "surrogatepass")
-                for a, b in zip(ptr[rows].tolist(), ptr[rows + 1].tolist())]
+        return self._texts.take(rows)
 
     def hashtags(self) -> list[str]:
         return list(self._tag)
@@ -170,9 +208,8 @@ def load_tweets(records: Iterable[dict | None]) -> tuple[TweetCorpus, IngestRepo
     repeat an earlier row's id are found and dropped after the loop.
     """
     report = IngestReport()
-    ids: list[str] = []
-    text_buf = bytearray()  # the texts, UTF-8 with lone surrogates kept, back to back
-    text_ptr = array("q", [0])  # row r's text ends at text_ptr[r + 1]
+    ids, texts = StringColumn(), StringColumn()
+    hashes = array("q")  # hash of each row's id
     days = array("i")
     users = array("i")
     user_code: dict[str, int] = {}
@@ -196,10 +233,10 @@ def load_tweets(records: Iterable[dict | None]) -> tuple[TweetCorpus, IngestRepo
         if not isinstance(text, str):
             report.bad_text += 1
             continue
-        row = len(ids)
-        ids.append(str(tid))
-        text_buf += text.encode("utf-8", "surrogatepass")
-        text_ptr.append(len(text_buf))
+        row, tid = len(days), str(tid)
+        ids.append(tid)
+        hashes.append(hash(tid))
+        texts.append(text)
         days.append(day)
         users.append(user_code.setdefault(str(user), len(user_code)))
         for tag in set(extract_hashtags(text)):
@@ -207,30 +244,24 @@ def load_tweets(records: Iterable[dict | None]) -> tuple[TweetCorpus, IngestRepo
             pair_row.append(row)
     del user_code  # freed before the index build allocates its arrays
 
-    ptr = np.frombuffer(text_ptr, dtype=np.int64)
     day_col = np.frombuffer(days, dtype=np.int32)
     user_col = np.frombuffer(users, dtype=np.int32)
     pair_tag = np.frombuffer(pair_tag, dtype=np.int32)
     pair_row = np.frombuffer(pair_row, dtype=np.int32)
     # Drop the repeated rows by moving the kept runs down, in place, so that
     # no column is copied. pair_row ascends, so each row's pairs are a span.
-    repeated = repeated_rows(ids, np.fromiter(map(hash, ids), np.int64, len(ids)))
+    repeated = repeated_rows(ids, np.frombuffer(hashes, dtype=np.int64))
+    del hashes
     if repeated:
         n, ends = len(ids), [r + 1 for r in repeated]
-        squeeze(ids, repeated, ends, n)
-        del ids[n - len(repeated):]
+        ids.drop(repeated)
+        texts.drop(repeated)
         squeeze(day_col, repeated, ends, n)
         squeeze(user_col, repeated, ends, n)
-        lo, hi = ptr[[repeated, ends]].tolist()
-        with memoryview(text_buf) as view:
-            size = squeeze(view, lo, hi, len(text_buf))
-        del text_buf[size:]
-        squeeze(ptr[1:], repeated, ends, n, less=np.cumsum(np.subtract(hi, lo)))
         lo, hi = np.searchsorted(pair_row, [repeated, ends]).tolist()
         pairs = squeeze(pair_row, lo, hi, len(pair_row), less=range(1, n))
         squeeze(pair_tag, lo, hi, len(pair_tag))
-        ptr, day_col, pair_tag, pair_row = (ptr[:len(ids) + 1], day_col[:len(ids)],
-                                            pair_tag[:pairs], pair_row[:pairs])
+        day_col, pair_tag, pair_row = day_col[:len(ids)], pair_tag[:pairs], pair_row[:pairs]
         user_col = first_seen_codes(user_col[:len(ids)])
     report.accepted, report.duplicates = len(ids), len(repeated)
 
@@ -242,24 +273,25 @@ def load_tweets(records: Iterable[dict | None]) -> tuple[TweetCorpus, IngestRepo
     order = np.lexsort((day_col[pair_row], codes))  # by hashtag, then day, then row
     tag_ptr = np.zeros(len(sorted_code) + 1, dtype=np.int64)
     np.cumsum(np.bincount(codes, minlength=len(sorted_code)), out=tag_ptr[1:])
-    corpus = TweetCorpus(ids, text_buf, ptr, day_col, user_col,
+    corpus = TweetCorpus(ids, texts, day_col, user_col,
                          sorted_code, tag_ptr, pair_row[order])
     return corpus, report
 
 
-def repeated_rows(ids: list[str], hashes: np.ndarray) -> list[int]:
+def repeated_rows(ids: StringColumn, hashes: np.ndarray) -> list[int]:
     """Rows whose id equals an earlier row's, ascending. hashes[r] is the
-    hash of ids[r], and is sorted in place; only the rows that share a
-    hash with another row are compared by id."""
+    hash of row r's id, and is sorted in place; only the rows that share a
+    hash with another row are read and compared by id."""
     order = np.argsort(hashes)
     hashes.sort()
     tie = np.flatnonzero(hashes[1:] == hashes[:-1])
+    rows = distinct(np.concatenate((order[tie], order[tie + 1])))
     seen: set[str] = set()
     repeated = []
-    for row in distinct(np.concatenate((order[tie], order[tie + 1]))).tolist():
-        if ids[row] in seen:
+    for row, tid in zip(rows.tolist(), ids.take(rows)):
+        if tid in seen:
             repeated.append(row)
-        seen.add(ids[row])
+        seen.add(tid)
     return repeated
 
 
@@ -387,7 +419,10 @@ def detect_bursts(corpus: TweetCorpus, hashtag: str,
     window_end = window_start + timedelta(days=w - 1)
     lo, hi = np.searchsorted(corpus.days[rows], (window_start.toordinal(),
                                                  window_end.toordinal() + 1))
-    in_window = sorted(rows[lo:hi].tolist(), key=corpus.ids.__getitem__)
+    window = rows[lo:hi].tolist()
+    ids = corpus.ids(window)  # decoded once, as one batch
+    order = sorted(range(len(ids)), key=ids.__getitem__)
     return [HashtagBurst(hashtag, window_start, window_end,
                          corpus.start_day + timedelta(days=peak), float(p[peak]),
-                         tuple(corpus.ids[r] for r in in_window), tuple(in_window))]
+                         tuple(map(ids.__getitem__, order)),
+                         tuple(map(window.__getitem__, order)))]

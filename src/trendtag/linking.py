@@ -13,6 +13,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .influence import milne_witten
 from .wiki import WikiSnapshot, gather, key_prefixes, link_prior
 
 MAX_NGRAM = 5
+_CHUNK = 2_000  # texts that sample_tokens cleans and splits as one string
 
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
 _AT_MENTION_RE = re.compile(r"@\w+")
@@ -47,29 +49,32 @@ def segment_hashtag(body: str, vocab) -> list[str]:
     return parts
 
 
-def sample_tokens(texts, vocab=frozenset()) -> list[str]:
+def sample_tokens(texts: list[str], vocab=frozenset()) -> list[str]:
     """Lowercased tokens of each text in turn, with a "\n" token between
     texts. URLs, @-mentions and emoticons are removed; hashtags lose their
     '#' and their bodies are segmented against vocab.
 
-    The texts are cleaned and split as one string. None of the patterns
-    matches a newline, so once each text's own newlines are spaces no
-    match spans two texts. Each distinct raw word is mapped to its tokens
-    once, so a hashtag body is segmented once per call.
+    _CHUNK texts at a time are cleaned and split as one string.
+    None of the patterns matches a newline, so once each text's own
+    newlines are spaces no match spans two texts. Each distinct raw word
+    is mapped to its tokens once, so a hashtag body is segmented once per
+    call.
     """
-    text = "\n".join(t.replace("\n", " ") for t in texts)
-    text = _URL_RE.sub(" ", text)
-    text = _AT_MENTION_RE.sub(" ", text)
-    text = _EMOTICON_RE.sub(" ", text)
     words: dict[str, list[str]] = {"\n": ["\n"]}
     tokens: list[str] = []
-    for match in _TOKEN_RE.finditer(text):
-        raw = match[0]
-        parts = words.get(raw)
-        if parts is None:
-            parts = words[raw] = (segment_hashtag(raw[1:], vocab)
-                                  if raw[0] == "#" else [raw.lower()])
-        tokens += parts
+    for start in range(0, len(texts), _CHUNK):
+        text = "\n".join(t.replace("\n", " ")
+                         for t in texts[start:start + _CHUNK])
+        text = _URL_RE.sub(" ", text)
+        text = _AT_MENTION_RE.sub(" ", text)
+        text = _EMOTICON_RE.sub(" ", text)
+        raws = _TOKEN_RE.findall(text)
+        for raw in set(raws).difference(words):
+            words[raw] = (segment_hashtag(raw[1:], vocab) if raw[0] == "#"
+                          else [raw.lower()])
+        if start:
+            tokens.append("\n")
+        tokens += chain.from_iterable(map(words.__getitem__, raws))
     return tokens
 
 

@@ -2,63 +2,17 @@
 
 import json
 import pickle
-import random
 import re
-import tempfile
 from dataclasses import fields
-from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import trendtag.cli as cli
 from trendtag.cli import _build_config, build_parser, main
-from trendtag.corpus import BurstConfig, detect_bursts, load_tweets_jsonl
+from trendtag.corpus import BurstConfig, load_tweets_jsonl
 from trendtag.influence import IPLConfig
 from trendtag.pipeline import PipelineConfig, read_annotations
-from world import TARGET, gold_labels, tweet_records, tweet_rows, wiki_tables
-
-
-@pytest.fixture(scope="module")
-def datadir(tmp_path_factory):
-    """World fixture written out in the external file formats."""
-    root = tmp_path_factory.mktemp("clidata")
-
-    tweets = root / "tweets.jsonl"
-    with open(tweets, "w", encoding="utf-8") as fh:
-        for rec in tweet_records():
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-    wiki = root / "wiki"
-    wiki.mkdir()
-    pages, anchors, links, revisions, pageviews = wiki_tables()
-    (wiki / "pages.tsv").write_text(
-        "".join(f"{t}\t{f}\n" for t, f in pages), encoding="utf-8")
-    (wiki / "anchors.tsv").write_text(
-        "".join(f"{a}\t{t}\t{n}\n" for a, t, n in anchors), encoding="utf-8")
-    (wiki / "links.tsv").write_text(
-        "".join(f"{s}\t{t}\n" for s, t in links), encoding="utf-8")
-    with open(wiki / "revisions.jsonl", "w", encoding="utf-8") as fh:
-        for rec in revisions:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    (wiki / "pageviews.tsv").write_text(
-        "".join(f"{t}\t{d.isoformat()}\t{n}\n" for t, d, n in pageviews),
-        encoding="utf-8")
-
-    gold = root / "gold.tsv"
-    gold.write_text("".join(f"{tag}\t{title}\t{grade}\n"
-                            for (tag, title), grade in gold_labels().items()),
-                    encoding="utf-8")
-
-    config = root / "config.json"
-    config.write_text(json.dumps({
-        "sample_size": 500,
-        "min_users": 50,
-        "variance_threshold": 100,
-        "trending_fraction_threshold": 5,
-    }), encoding="utf-8")
-    return root
+from world import TARGET, tweet_rows
 
 
 class TestIngest:
@@ -200,42 +154,6 @@ class TestAnnotate:
                       "--snapshot", str(tmp_path / "snapshot.pkl")])
             assert exc.value.code == 2
             assert "--snapshot" in capsys.readouterr().err
-
-
-class TestShuffledTweets:
-    """The order of the lines of tweets.jsonl does not reach the output:
-    the sample is drawn from each burst's tweets sorted by id."""
-
-    SAMPLE = 150  # below the 1600-tweet #sochi2014 burst, so the sample is drawn
-
-    @classmethod
-    def annotate(cls, datadir, tweets: Path) -> bytes:
-        out = tweets.with_name("annotations.jsonl")
-        assert main(["annotate", "--tweets", str(tweets),
-                     "--wiki-dir", str(datadir / "wiki"),
-                     "--config", str(datadir / "config.json"),
-                     "--hashtag", "sochi2014", "--hashtag", "randomchat",
-                     "--sample-size", str(cls.SAMPLE), "--out", str(out)]) == 0
-        return out.read_bytes()
-
-    @pytest.fixture(scope="class")
-    def unshuffled(self, datadir):
-        corpus, _ = load_tweets_jsonl(datadir / "tweets.jsonl")
-        burst = detect_bursts(corpus, "sochi2014", BurstConfig(
-            min_users=50, variance_threshold=100, trending_fraction_threshold=5))[0]
-        assert len(burst.tweet_ids) > self.SAMPLE
-        return self.annotate(datadir, datadir / "tweets.jsonl")
-
-    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-    @settings(max_examples=max(10, settings.default.max_examples // 10),
-              deadline=None)
-    def test_annotations_byte_identical(self, datadir, unshuffled, seed):
-        lines = (datadir / "tweets.jsonl").read_text(encoding="utf-8").splitlines(True)
-        random.Random(seed).shuffle(lines)
-        with tempfile.TemporaryDirectory() as tmp:
-            tweets = Path(tmp) / "tweets.jsonl"
-            tweets.write_text("".join(lines), encoding="utf-8")
-            assert self.annotate(datadir, tweets) == unshuffled
 
 
 class TestConfigRouting:

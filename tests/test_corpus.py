@@ -13,9 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trendtag.corpus as corpus_module
-from trendtag.corpus import (BurstConfig, detect_bursts, extract_hashtags,
-                             hashtag_series, load_tweets, load_tweets_jsonl,
-                             outlier_series, parse_timestamp, repeated_rows)
+from trendtag.corpus import (BurstConfig, StringColumn, detect_bursts,
+                             extract_hashtags, hashtag_series, load_tweets,
+                             load_tweets_jsonl, outlier_series, parse_timestamp,
+                             repeated_rows)
 from world import Row, tweet_rows
 
 DAY0 = date(2014, 2, 1)
@@ -27,13 +28,15 @@ def rec(tid, day_offset, text, user="u1"):
             "text": text, "user_id": user}
 
 
-def corpus_from_series(values, hashtag="tag", users_per_day=1):
-    """One corpus whose daily counts for `hashtag` equal `values`."""
+def corpus_from_series(values, hashtag="tag", users_per_day=1,
+                       id_of=lambda serial: f"t{serial}"):
+    """One corpus whose daily counts for `hashtag` equal `values`; the
+    tweet with serial number s has the id id_of(s)."""
     records = []
     serial = 0
     for offset, count in enumerate(values):
         for j in range(int(count)):
-            records.append(rec(f"t{serial}", offset, f"x #{hashtag}",
+            records.append(rec(id_of(serial), offset, f"x #{hashtag}",
                                user=f"u{j % max(users_per_day, 1)}"))
             serial += 1
     # anchor tweets pin the corpus date range even when edges are zero
@@ -69,7 +72,7 @@ class TestLoadTweets:
         path.write_bytes(b"\n".join(lines) + b"\n")
         corpus, report = load_tweets_jsonl(path)
         assert (report.accepted, report.bad_json, report.rejected) == (2, 1, 1)
-        assert corpus.ids == ["a", "c"]
+        assert corpus.ids(range(len(corpus))) == ["a", "c"]
 
     def test_empty_stream(self):
         corpus, report = load_tweets([])
@@ -103,7 +106,7 @@ class TestLoadTweets:
                          + line + b"\n")
         corpus, report = load_tweets_jsonl(path)
         assert (report.accepted, report.bad_json, report.rejected) == (1, 1, 1)
-        assert corpus.ids == ["a"]
+        assert corpus.ids(range(len(corpus))) == ["a"]
 
     def test_surrounding_whitespace_ignored(self, tmp_path):
         path = tmp_path / "tweets.jsonl"
@@ -162,10 +165,16 @@ TEXTS = st.one_of(
     st.lists(st.sampled_from(["#a", "#A", "#b", "#Sochi2014", "go", "#a!"]),
              max_size=4).map(" ".join),
     st.sampled_from([*ODD_TEXTS, 5, None]))
+# ids the id column must give back unchanged and compare as strings: ids
+# that are prefixes of one another, accents, an emoji, a lone surrogate, a
+# fullwidth letter (after the emoji in code-point order, before it in
+# UTF-16 order), and integers, which also name the strings "7" and "70"
+ODD_IDS = ["a", "ab", "abc", "b", "c", "é", "éa", "\U0001F600", "\ud800",
+           "a\ud800", "\uff54", 7, 70, "7", "70"]
 # the row oracle's examples; --hypothesis-profile=ci raises them to 1000
 EXAMPLES = max(200, settings.default.max_examples)
 RECORDS = st.one_of(
-    st.fixed_dictionaries({"id": st.sampled_from(["a", "b", "c", 7]),
+    st.fixed_dictionaries({"id": st.sampled_from(ODD_IDS),
                            "timestamp": TIMESTAMPS, "text": TEXTS,
                            "user_id": st.sampled_from(["u1", "u2", 3])}),
     st.sampled_from([None, {}, {"id": "a"}, {"id": "b", "timestamp": 0, "text": "#a"}]),
@@ -201,7 +210,7 @@ class TestLoaderMatchesRowLoader:
             assert getattr(report, cause) == counts[cause], cause
         assert report.rejected == sum(counts[c] for c in REJECT_CAUSES)
         assert len(corpus) == len(tweets)
-        assert corpus.ids == list(tweets)
+        assert corpus.ids(range(len(corpus))) == list(tweets)
         assert tweet_rows(corpus) == list(tweets.values())
         assert corpus.texts(range(len(corpus))) == [t.text for t in tweets.values()]
         assert corpus.hashtags() == sorted(
@@ -218,15 +227,31 @@ class TestLoaderMatchesRowLoader:
         assert corpus.texts(backwards) == [list(tweets.values())[r].text
                                            for r in backwards]
 
-    @given(st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=30),
+    @given(st.lists(RECORDS, max_size=25), st.randoms(use_true_random=False))
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_ids_read_back_in_any_row_order(self, records, rng):
+        corpus, _ = load_tweets(records)
+        tweets = list(reference_load(records)[0].values())
+        rows = list(range(len(corpus))) * 2
+        rng.shuffle(rows)
+        assert corpus.ids(rows) == [tweets[r].id for r in rows]
+        assert corpus.texts(rows) == [tweets[r].text for r in rows]
+
+    @given(st.lists(st.sampled_from([str(i) for i in ODD_IDS]), max_size=30),
            st.booleans())
+    # every hash ties, and the dropped copy repeats row 0, the first row
+    # with its id: a finder that read only the second row of each tie misses it
+    @example(["ab", "a", "ab"], True)
     @settings(max_examples=EXAMPLES, deadline=None)
     def test_repeat_finder_compares_ids_on_equal_hashes(self, ids, equal_hashes):
         """With every hash equal, distinct ids are all kept and equal ids
         drop every copy after the first."""
         hashes = np.zeros(len(ids), dtype=np.int64) if equal_hashes else \
             np.array([hash(i) for i in ids], dtype=np.int64)
-        assert repeated_rows(ids, hashes) == [
+        column = StringColumn()
+        for tid in ids:
+            column.append(tid)
+        assert repeated_rows(column, hashes) == [
             r for r, tid in enumerate(ids) if tid in ids[:r]]
 
     def test_jsonl_surrogate_escapes_read_back(self, tmp_path):
@@ -243,10 +268,11 @@ class TestLoaderMatchesRowLoader:
 
 class TestLoadMemory:
     def test_peak_per_row_bound(self, tmp_path):
-        """The texts are held as one UTF-8 buffer and no id set is built:
-        a 5,050-line load of accented and emoji texts (50 duplicates)
-        peaks at about 190 B a row, against about 440 B with a list of
-        text objects and a set of seen ids."""
+        """The ids and the texts are one UTF-8 buffer each and no id set
+        is built: a 5,050-line load of accented and emoji texts (50
+        duplicates) peaks at about 146 B a row, against about 186 B with a
+        list of id objects and about 440 B with lists of ids and texts and
+        a set of seen ids."""
         path = tmp_path / "tweets.jsonl"
         lines = [json.dumps({"id": f"{i:08d}", "timestamp": f"2016-01-{1 + i % 28:02d}",
                              "text": f"café \U0001F600 word{i % 97} #tag{i % 50}",
@@ -261,7 +287,7 @@ class TestLoadMemory:
         finally:
             tracemalloc.stop()
         assert (report.accepted, report.duplicates) == (5_000, 50)
-        assert peak / len(lines) < 300, f"{peak / len(lines):.0f} B a row"
+        assert peak / len(lines) < 165, f"{peak / len(lines):.0f} B a row"
 
 
 # lines that are not a JSON object alone: bad JSON, trailing data, bytes
@@ -562,15 +588,27 @@ class TestDetectBursts:
         assert bursts[0].window_start <= bursts[0].peak_day <= bursts[0].window_end
 
 
+# tweet id forms: "{}" and None (an integer id) give bare digit strings, so
+# "1" is a prefix of "10"; the others prefix an accent, an emoji, a lone
+# surrogate or a fullwidth letter
+ID_FORMS = [None, "{}", "t{}", "é{}", "\U0001F600{}", "\ud800{}", "\uff54{}"]
+
+
 class TestBurstIdsMatchReferenceFilter:
     @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1,
                     max_size=20),
-           st.sampled_from([1, 3, 7]))
+           st.sampled_from([1, 3, 7]),
+           st.lists(st.sampled_from(ID_FORMS), min_size=1, max_size=4))
     @settings(max_examples=100, deadline=None)
-    def test_window_ids(self, counts, w):
+    def test_window_ids(self, counts, w, forms):
         """Includes corpora shorter than the window, whose window reaches
-        past the corpus's last day."""
-        corpus = corpus_from_series(counts)
+        past the corpus's last day. The ids mix the forms, one per serial
+        number in turn, and sort as strings: by code point."""
+        def id_of(serial):
+            form = forms[serial % len(forms)]
+            return serial if form is None else form.format(serial)
+
+        corpus = corpus_from_series(counts, id_of=id_of)
         bursts = detect_bursts(corpus, "tag", spike_config(w=w), force=True)
         if sum(counts) == 0:
             assert bursts == []
@@ -582,7 +620,10 @@ class TestBurstIdsMatchReferenceFilter:
             if "tag" in t.hashtags
             and burst.window_start <= t.day <= burst.window_end)
         assert list(burst.tweet_ids) == expected
-        assert [corpus.ids[r] for r in burst.rows] == expected
+        assert corpus.ids(burst.rows) == expected
+        # code-point order is the order of the UTF-8 bytes the column holds
+        assert expected == sorted(expected, key=lambda tid: tid.encode(
+            "utf-8", "surrogatepass"))
 
 
 class TestValidation:

@@ -98,6 +98,16 @@ class TestSampleTokens:
         assert sample_tokens(["a\nb #so", "", "c"], {"so"}) == \
             ["a", "b", "so", "\n", "\n", "c"]
 
+    @pytest.mark.parametrize("chunk", [1, 2, 4])
+    def test_chunks_meet_at_a_barrier(self, monkeypatch, chunk):
+        """Texts split in chunks give the tokens of one split."""
+        texts = ["a\nb #so", "", "c", "#sochi :) d", "", "e www.x.y"]
+        whole = sample_tokens(texts, {"so", "chi"})
+        monkeypatch.setattr(linking, "_CHUNK", chunk)
+        assert sample_tokens(texts, {"so", "chi"}) == whole
+        assert split_at_barrier(whole) == [reference_tokens(t, {"so", "chi"})
+                                           for t in texts]
+
 
 class TestTweetTokens:
     def test_filter_rules(self):
@@ -216,7 +226,8 @@ def reference_candidates(burst, corpus, snapshot, sample_size, seed):
     if len(ids) > sample_size:
         ids = sorted(random.Random(seed).sample(ids, sample_size))
     provenance, mention_counts, token_counts = {}, {}, Counter()
-    text_of = dict(zip(corpus.ids, corpus.texts(range(len(corpus)))))
+    every = range(len(corpus))
+    text_of = dict(zip(corpus.ids(every), corpus.texts(every)))
     for tid in ids:
         tokens = reference_tokens(text_of[tid], snapshot.unigram_vocab)
         token_counts.update(tokens)

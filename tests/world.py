@@ -82,7 +82,8 @@ def tweet_rows(corpus) -> list[Row]:
     """Each corpus row as a tuple, built from the columns."""
     return [Row(tid, date.fromordinal(int(day)), text, int(user),
                 tuple(extract_hashtags(text)))
-            for tid, text, day, user in zip(corpus.ids, corpus.texts(range(len(corpus))),
+            for tid, text, day, user in zip(corpus.ids(range(len(corpus))),
+                                            corpus.texts(range(len(corpus))),
                                             corpus.days, corpus.users)]
 
 
