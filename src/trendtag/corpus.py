@@ -113,20 +113,16 @@ class IngestReport:
 
 
 class StringColumn:
-    """Strings back to back in one UTF-8 buffer, lone surrogates kept, with
-    an int64 end offset per row: row r is the bytes from its predecessor's
-    end to its own. Appended one by one, read back by row with `take`."""
+    """Strings back to back in one buffer, each encoded as UTF-8 with
+    "surrogatepass" (so a lone surrogate survives), and an int64 offset
+    column that starts at 0: row r is buf[ends[r]:ends[r + 1]]."""
 
-    def __init__(self):
-        self._buf = bytearray()
-        self._ends = array("q", [0])  # row r ends at _ends[r + 1]
+    def __init__(self, buf: bytearray, ends: array):
+        self._buf = buf
+        self._ends = ends
 
     def __len__(self) -> int:
         return len(self._ends) - 1
-
-    def append(self, value: str) -> None:
-        self._buf += value.encode("utf-8", "surrogatepass")
-        self._ends.append(len(self._buf))
 
     def take(self, rows) -> list[str]:
         """The strings of the given rows, in the order given."""
@@ -208,7 +204,8 @@ def load_tweets(records: Iterable[dict | None]) -> tuple[TweetCorpus, IngestRepo
     repeat an earlier row's id are found and dropped after the loop.
     """
     report = IngestReport()
-    ids, texts = StringColumn(), StringColumn()
+    id_buf, id_ends = bytearray(), array("q", [0])  # a StringColumn's two parts
+    text_buf, text_ends = bytearray(), array("q", [0])
     hashes = array("q")  # hash of each row's id
     days = array("i")
     users = array("i")
@@ -234,16 +231,20 @@ def load_tweets(records: Iterable[dict | None]) -> tuple[TweetCorpus, IngestRepo
             report.bad_text += 1
             continue
         row, tid = len(days), str(tid)
-        ids.append(tid)
+        id_buf += tid.encode("utf-8", "surrogatepass")
+        id_ends.append(len(id_buf))
         hashes.append(hash(tid))
-        texts.append(text)
+        text_buf += text.encode("utf-8", "surrogatepass")
+        text_ends.append(len(text_buf))
         days.append(day)
         users.append(user_code.setdefault(str(user), len(user_code)))
-        for tag in set(extract_hashtags(text)):
+        # set(extract_hashtags(text)), without a function call per tweet
+        for tag in set(map(str.lower, _HASHTAG_RE.findall(text))):
             pair_tag.append(tag_code.setdefault(tag, len(tag_code)))
             pair_row.append(row)
     del user_code  # freed before the index build allocates its arrays
 
+    ids, texts = StringColumn(id_buf, id_ends), StringColumn(text_buf, text_ends)
     day_col = np.frombuffer(days, dtype=np.int32)
     user_col = np.frombuffer(users, dtype=np.int32)
     pair_tag = np.frombuffer(pair_tag, dtype=np.int32)

@@ -3,8 +3,10 @@
 import json
 import tempfile
 import tracemalloc
+from array import array
 from collections import Counter
 from datetime import date, datetime, timedelta, timezone
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -248,9 +250,9 @@ class TestLoaderMatchesRowLoader:
         drop every copy after the first."""
         hashes = np.zeros(len(ids), dtype=np.int64) if equal_hashes else \
             np.array([hash(i) for i in ids], dtype=np.int64)
-        column = StringColumn()
-        for tid in ids:
-            column.append(tid)
+        encoded = [tid.encode("utf-8", "surrogatepass") for tid in ids]
+        column = StringColumn(bytearray(b"".join(encoded)),
+                              array("q", [0, *accumulate(map(len, encoded))]))
         assert repeated_rows(column, hashes) == [
             r for r, tid in enumerate(ids) if tid in ids[:r]]
 

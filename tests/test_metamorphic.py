@@ -22,29 +22,34 @@ from trendtag.corpus import BurstConfig, detect_bursts, load_tweets_jsonl
 from test_golden import perfbench_worlds
 
 
+SAMPLE = 150  # below the 1600-tweet #sochi2014 burst and every tiny-world burst
+
+
+def fixture_args(datadir) -> list[str]:
+    return ["--wiki-dir", str(datadir / "wiki"), "--config", str(datadir / "config.json"),
+            "--hashtag", "sochi2014", "--hashtag", "randomchat"]
+
+
+def annotate(args, tweets: Path) -> bytes:
+    """The annotations of tweets, sampled SAMPLE at a time; args are the
+    annotate arguments besides --tweets, --sample-size and --out."""
+    out = tweets.with_name(tweets.stem + "-annotations.jsonl")
+    assert main(["annotate", "--tweets", str(tweets), *args,
+                 "--sample-size", str(SAMPLE), "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
 class TestShuffledTweets:
     """The order of the lines of tweets.jsonl does not reach the output:
     the sample is drawn from each burst's tweets sorted by id."""
-
-    SAMPLE = 150  # below the 1600-tweet #sochi2014 burst, so the sample is drawn
-
-    @classmethod
-    def annotate(cls, datadir, tweets: Path) -> bytes:
-        out = tweets.with_name("annotations.jsonl")
-        assert main(["annotate", "--tweets", str(tweets),
-                     "--wiki-dir", str(datadir / "wiki"),
-                     "--config", str(datadir / "config.json"),
-                     "--hashtag", "sochi2014", "--hashtag", "randomchat",
-                     "--sample-size", str(cls.SAMPLE), "--out", str(out)]) == 0
-        return out.read_bytes()
 
     @pytest.fixture(scope="class")
     def unshuffled(self, datadir):
         corpus, _ = load_tweets_jsonl(datadir / "tweets.jsonl")
         burst = detect_bursts(corpus, "sochi2014", BurstConfig(
             min_users=50, variance_threshold=100, trending_fraction_threshold=5))[0]
-        assert len(burst.tweet_ids) > self.SAMPLE
-        return self.annotate(datadir, datadir / "tweets.jsonl")
+        assert len(burst.tweet_ids) > SAMPLE
+        return annotate(fixture_args(datadir), datadir / "tweets.jsonl")
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=max(10, settings.default.max_examples // 10),
@@ -55,35 +60,22 @@ class TestShuffledTweets:
         with tempfile.TemporaryDirectory() as tmp:
             tweets = Path(tmp) / "tweets.jsonl"
             tweets.write_text("".join(lines), encoding="utf-8")
-            assert self.annotate(datadir, tweets) == unshuffled
-
-
-SAMPLE = 150  # below every burst of both worlds
+            assert annotate(fixture_args(datadir), tweets) == unshuffled
 
 
 @pytest.fixture(scope="module")
 def worlds(datadir, tmp_path_factory):
-    """World name -> (tweets.jsonl, the annotate arguments besides
-    --tweets and --out)."""
+    """World name -> (its tweets.jsonl, its annotate arguments)."""
     root = tmp_path_factory.mktemp("event_annotate")
     manifest = perfbench_worlds().build_world("event_annotate", 1, root, "tiny")
     hashtags = [e["hashtag"] for e in manifest["events"]]
-    fixture = ["--wiki-dir", str(datadir / "wiki"), "--config", str(datadir / "config.json"),
-               "--hashtag", "sochi2014", "--hashtag", "randomchat"]
-    tiny = ["--wiki-dir", str(root / "wiki"),
-            *(arg for tag in hashtags for arg in ("--hashtag", tag))]
     corpus, _ = load_tweets_jsonl(root / "tweets.jsonl")
     assert min(len(detect_bursts(corpus, tag, force=True)[0].rows)
                for tag in hashtags) > SAMPLE
-    return {"fixture": (datadir / "tweets.jsonl", fixture),
+    tiny = ["--wiki-dir", str(root / "wiki"),
+            *(arg for tag in hashtags for arg in ("--hashtag", tag))]
+    return {"fixture": (datadir / "tweets.jsonl", fixture_args(datadir)),
             "event_annotate": (root / "tweets.jsonl", tiny)}
-
-
-def annotate(args, tweets: Path) -> bytes:
-    out = tweets.with_name(tweets.stem + "-annotations.jsonl")
-    assert main(["annotate", "--tweets", str(tweets), *args,
-                 "--sample-size", str(SAMPLE), "--out", str(out)]) == 0
-    return out.read_bytes()
 
 
 def rewrite_ids(src: Path, dst: Path, new_id) -> Path:
