@@ -238,8 +238,7 @@ def load_tweets(records: Iterable[dict | None]) -> tuple[TweetCorpus, IngestRepo
         text_ends.append(len(text_buf))
         days.append(day)
         users.append(user_code.setdefault(str(user), len(user_code)))
-        # set(extract_hashtags(text)), without a function call per tweet
-        for tag in set(map(str.lower, _HASHTAG_RE.findall(text))):
+        for tag in set(extract_hashtags(text)):
             pair_tag.append(tag_code.setdefault(tag, len(tag_code)))
             pair_row.append(row)
     del user_code  # freed before the index build allocates its arrays
