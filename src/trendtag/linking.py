@@ -54,11 +54,10 @@ def sample_tokens(texts: list[str], vocab=frozenset()) -> list[str]:
     texts. URLs, @-mentions and emoticons are removed; hashtags lose their
     '#' and their bodies are segmented against vocab.
 
-    _CHUNK texts at a time are cleaned and split as one string.
-    None of the patterns matches a newline, so once each text's own
-    newlines are spaces no match spans two texts. Each distinct raw word
-    is mapped to its tokens once, so a hashtag body is segmented once per
-    call.
+    _CHUNK texts at a time are cleaned and split as one string. None of
+    the patterns matches a newline, so once each text's own newlines are
+    spaces no match spans two texts. Each distinct raw word is mapped to
+    its tokens once, so a hashtag body is segmented once per call.
     """
     words: dict[str, list[str]] = {"\n": ["\n"]}
     tokens: list[str] = []
